@@ -1,9 +1,18 @@
 """Hot numeric kernels with numba-compiled and pure-numpy implementations.
 
 The numba path is used by default when numba imports cleanly; set
-DIFFROUTER_NO_NUMBA=1 to force the numpy fallback. Both paths compute the
-same floating-point operations so results are interchangeable.
+DIFFROUTER_NO_NUMBA=1 to force the numpy fallback. The two paths agree to
+rounding but are not bit-identical: the numpy MMD sums expand squared
+distances as ||a||^2 + ||b||^2 - 2 a.b^T where the numba ones sum direct
+differences. The compiled dense kernels serve float64 only, since numba
+widens float32 arrays against float64 constants and rejects mixed-dtype
+matrix products; float32 inputs take the numpy kernels on either path.
 `benchmarks/bench_kernels.py` compares the two.
+
+The numpy kernels compute in the dtype of their inputs (float64 in training,
+float32 for checkpoint inference) and reuse one work array through `out=`
+ufuncs. Their float64 results are bit-identical to the plain expressions
+`h @ w.T + b`, `z * (1 / (1 + exp(-z)))` and `s * (1 + z * (1 - s))`.
 """
 
 import os
@@ -11,18 +20,34 @@ import os
 import numpy as np
 
 
+def _sigmoid(z):
+    """New array holding 1 / (1 + exp(-z)). exp overflows to inf for very
+    negative z, which gives the correct limit 0, so that warning is muted."""
+    s = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def _silu_np(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+    s = _sigmoid(z)
+    return np.multiply(z, s, out=s)
 
 
 def _silu_grad_np(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
+    s = _sigmoid(z)
+    out = np.subtract(1.0, s)
+    out *= z
+    out += 1.0
+    out *= s
+    return out
 
 
 def _affine_np(h, w, b):
-    return h @ w.T + b
+    out = h @ w.T
+    out += b
+    return out
 
 
 def _adamw_update_np(p, g, m, v, lr, b1, b2, eps, wd, step):
@@ -33,17 +58,29 @@ def _adamw_update_np(p, g, m, v, lr, b1, b2, eps, wd, step):
     p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
 
 
+def sq_dists(a, b):
+    """(n, m) squared Euclidean distances between the rows of a and b, as
+    ||a||^2 + ||b||^2 - 2 a.b^T clamped at 0: one BLAS product instead of an
+    (n, m, d) difference tensor."""
+    out = a @ b.T
+    out *= -2.0
+    out += np.einsum("ij,ij->i", a, a)[:, None]
+    out += np.einsum("ij,ij->i", b, b)[None, :]
+    return np.maximum(out, 0.0, out=out)
+
+
 def _mmd_terms_np(a, b, gamma):
     """Unbiased MMD^2 kernel sums: (sum_xx, sum_yy, sum_xy) with RBF kernel
     exp(-gamma * ||.||^2); diagonal excluded from the same-set sums."""
-    d_aa = np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=-1)
-    d_bb = np.sum((b[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    d_ab = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    k_aa = np.exp(-gamma * d_aa)
-    k_bb = np.exp(-gamma * d_bb)
-    np.fill_diagonal(k_aa, 0.0)
-    np.fill_diagonal(k_bb, 0.0)
-    return float(k_aa.sum()), float(k_bb.sum()), float(np.exp(-gamma * d_ab).sum())
+    sums = []
+    for x, y, same in ((a, a, True), (b, b, True), (a, b, False)):
+        k = sq_dists(x, y)
+        k *= -gamma
+        np.exp(k, out=k)
+        if same:
+            np.fill_diagonal(k, 0.0)
+        sums.append(float(k.sum()))
+    return tuple(sums)
 
 
 _DISABLED = os.environ.get("DIFFROUTER_NO_NUMBA", "0") not in ("0", "")
@@ -52,8 +89,15 @@ if not _DISABLED:
     try:
         from numba import njit
 
-        _silu_nb = njit(cache=True, fastmath=False)(_silu_np)
-        _silu_grad_nb = njit(cache=True, fastmath=False)(_silu_grad_np)
+        @njit(cache=True)
+        def _silu_nb(z):
+            s = 1.0 / (1.0 + np.exp(-z))
+            return z * s
+
+        @njit(cache=True)
+        def _silu_grad_nb(z):
+            s = 1.0 / (1.0 + np.exp(-z))
+            return s * (1.0 + z * (1.0 - s))
 
         @njit(cache=True)
         def _affine_nb(h, w, b):
@@ -116,9 +160,17 @@ else:
     USING_NUMBA = False
 
 if USING_NUMBA:
-    silu = _silu_nb
-    silu_grad = _silu_grad_nb
-    affine = _affine_nb
+    def silu(z):
+        return _silu_nb(z) if z.dtype == np.float64 else _silu_np(z)
+
+    def silu_grad(z):
+        return _silu_grad_nb(z) if z.dtype == np.float64 else _silu_grad_np(z)
+
+    def affine(h, w, b):
+        if h.dtype == w.dtype == b.dtype == np.float64:
+            return _affine_nb(h, w, b)
+        return _affine_np(h, w, b)
+
     adamw_update = _adamw_update_nb
     _mmd_terms = _mmd_terms_nb
 else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen
+from ._kernels import _mmd_terms, sq_dists
 from .datagen import EvalTuples, GaussianInstance
 from .sample import TranslationRequest, translate
 
@@ -53,12 +54,11 @@ def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if bandwidth == "median":
         pooled = np.concatenate([A[:250], B[:250]])
-        dists = np.sqrt(np.sum((pooled[:, None, :] - pooled[None, :, :]) ** 2, axis=-1))
+        dists = np.sqrt(sq_dists(pooled, pooled))
         med = np.median(dists[np.triu_indices_from(dists, k=1)])
         bandwidth = float(med) if med > 0 else 1.0
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    from ._kernels import _mmd_terms
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
     s_aa, s_bb, s_ab = _mmd_terms(np.ascontiguousarray(A), np.ascontiguousarray(B), gamma)
     n, m = len(A), len(B)

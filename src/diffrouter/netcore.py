@@ -1,9 +1,11 @@
 """Minimal dense-network core: forward, reverse-mode gradients, AdamW.
 
-Parameters are float64 numpy arrays. Weights have shape (out, in); the
-forward map for one layer is h @ W.T + b with SiLU between layers (none
-after the last). The optimizer operates on flat lists of parameter arrays
-so the router can append its embedding table to the network parameters.
+Parameters are numpy arrays: float64 while training, float32 as loaded from
+a checkpoint. The forward pass computes in the dtype of the weights. Weights
+have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
+between layers (none after the last). The optimizer operates on flat lists
+of parameter arrays so the router can append its embedding table to the
+network parameters.
 """
 
 import struct
@@ -95,10 +97,11 @@ def _activate_grad(net: DenseNet, z: np.ndarray) -> np.ndarray:
 def forward_cached(net: DenseNet, x: np.ndarray):
     """Forward pass keeping pre-activations for the backward pass.
 
-    x: (B, d_in) or (d_in,). Returns (output, cache).
+    x: (B, d_in) or (d_in,), cast once to the dtype of the weights.
+    Returns (output, cache).
     """
     squeeze = x.ndim == 1
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    h = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     if h.shape[1] != net.weights[0].shape[1]:
         raise ValueError(f"input width {h.shape[1]} != layer width {net.weights[0].shape[1]}")
     hs = [h]
@@ -193,7 +196,7 @@ def save_params(path, header: dict, arrays: list[np.ndarray]) -> None:
 
 
 def load_params(path) -> tuple[dict, list[np.ndarray]]:
-    """Returns (header dict, flat float64 arrays in file order)."""
+    """Returns (header dict, flat float32 arrays in file order)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.index(b"---\n")
@@ -210,6 +213,6 @@ def load_params(path) -> tuple[dict, list[np.ndarray]]:
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64))
+        arrays.append(arr.astype(np.float32))
         offset += 4 * count
     return header, arrays

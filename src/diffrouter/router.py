@@ -4,11 +4,14 @@ The backbone consumes the concatenation
 [x_t | x_src | time_features(t) | emb[tgt] | emb[src]] and emits a length-d
 noise estimate. One parameter set serves every (src, tgt) direction; the
 domain embedding table is trained jointly with the backbone.
+
+The backbone runs in the dtype of its weights: float64 in training, float32
+for a loaded checkpoint. Noise estimates are returned as float64 either way.
 """
 
 import copy
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +106,7 @@ def _check_labels(params: RouterParams, tgt: int, src: int) -> None:
 
 
 def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
+    """The (B, in_dim) backbone input, in the dtype of the backbone weights."""
     _check_labels(params, tgt, src)
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
     x_src = np.atleast_2d(np.asarray(x_src, dtype=np.float64))
@@ -114,16 +118,17 @@ def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> n
     tf = np.broadcast_to(np.atleast_2d(tf), (B, params.time_dim))
     e_tgt = np.broadcast_to(params.domain_emb[tgt], (B, params.emb_dim))
     e_src = np.broadcast_to(params.domain_emb[src], (B, params.emb_dim))
-    return np.concatenate([x_t, x_src, tf, e_tgt, e_src], axis=1)
+    return np.concatenate([x_t, x_src, tf, e_tgt, e_src], axis=1,
+                          dtype=params.backbone.weights[0].dtype)
 
 
 def predict_noise(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
     """Noise estimate for x_t at step t, conditioned on the source sample and
     the (tgt, src) label pair. Accepts a single vector or a (B, d) batch; t may
-    be a scalar or per-row array."""
+    be a scalar or per-row array. Returns float64."""
     squeeze = np.asarray(x_t).ndim == 1
     inp = backbone_input(params, x_t, t, x_src, tgt, src)
-    out = netcore.forward(params.backbone, inp)
+    out = netcore.forward(params.backbone, inp).astype(np.float64, copy=False)
     return out[0] if squeeze else out
 
 
@@ -150,6 +155,17 @@ def zeros_like_grads(params: RouterParams) -> RouterGrads:
                        domain_emb=np.zeros_like(params.domain_emb))
 
 
+def as_float64(params: RouterParams) -> RouterParams:
+    """Independent float64 copy of params, e.g. of a loaded float32
+    checkpoint that is to be trained further."""
+    net = params.backbone
+    backbone = DenseNet(weights=[w.astype(np.float64) for w in net.weights],
+                        biases=[b.astype(np.float64) for b in net.biases],
+                        activation=net.activation)
+    return replace(params, backbone=backbone,
+                   domain_emb=params.domain_emb.astype(np.float64))
+
+
 def freeze(params: RouterParams) -> FrozenRouter:
     return FrozenRouter(params=copy.deepcopy(params))
 
@@ -171,6 +187,7 @@ def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None
 
 
 def load_checkpoint(path) -> tuple[RouterParams, dict]:
+    """Parameters at the float32 the file stores, and the header."""
     header, arrays = netcore.load_params(path)
     widths = [int(w) for w in header["widths"].split(",")]
     weights, biases = [], []

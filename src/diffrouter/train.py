@@ -16,7 +16,6 @@ iteration, which moves the unconditional noisy sample toward the conditional
 population before the teacher is queried.
 """
 
-import copy
 import csv
 from dataclasses import dataclass, field
 
@@ -262,7 +261,7 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
                                         activation=cfg.activation,
                                         out_scale=cfg.out_scale)
     else:
-        params = copy.deepcopy(init_params)
+        params = router_mod.as_float64(init_params)
     if cfg.regime != "paired-only":
         params.kind = router_mod.KIND_DIRECT
 
@@ -276,6 +275,8 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
         _run_paired(cfg, topo, datasets, sch, params, opt, rng, log)
     else:
         _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
+    if log.acc:  # the trailing partial window
+        log.flush(cfg.steps, opt.effective_lr())
 
     if log_path is not None:
         with open(log_path, "w", newline="", encoding="utf-8") as fh:

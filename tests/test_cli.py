@@ -174,6 +174,22 @@ def test_pipeline_end_to_end(workspace, capsys):
     assert (run / "checkpoints/scratch.ckpt").exists()
 
 
+def test_training_shorter_than_log_window(workspace):
+    """A stage of fewer steps than one log window still logs and plots."""
+    root, cfg_path = workspace
+    ov = ["train.finetune_steps=60", "train.log_window=100"]
+    run = _run(root, load_config(cfg_path, ov))
+    args = ["--config", cfg_path]
+    for o in ov:
+        args += ["--override", o]
+    for stage in ("gen-data", "train-paired", "finetune-direct"):
+        assert main([stage] + args) == 0, stage
+    assert (run / "checkpoints/direct.ckpt").exists()
+    rows = (run / "logs/finetune.csv").read_text().strip().splitlines()
+    assert len(rows) > 1 and all(r.startswith("60,") for r in rows[1:])
+    assert "polyline" in (run / "plots/finetune-loss.svg").read_text()
+
+
 def test_ablate_sweeps(workspace):
     root, cfg_path = workspace
     cfg = load_config(cfg_path)

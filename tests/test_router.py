@@ -137,3 +137,20 @@ def test_out_scale_shrinks_output_layer(rng):
     b = init_router(2, 3, 100, [8], np.random.default_rng(3), out_scale=0.01)
     assert np.allclose(b.backbone.weights[-1], 0.01 * a.backbone.weights[-1])
     assert np.array_equal(a.backbone.weights[0], b.backbone.weights[0])
+
+
+def test_loaded_checkpoint_runs_in_float32(tmp_path, params, rng):
+    path = tmp_path / "r.ckpt"
+    save_checkpoint(path, params)
+    back, _ = load_checkpoint(path)
+    assert all(p.dtype == np.float32 for p in back.param_list())
+    wide = router.as_float64(back)
+    for p, q in zip(back.param_list(), wide.param_list()):
+        assert q.dtype == np.float64 and np.array_equal(p, q)
+        assert not np.shares_memory(p, q)
+    x_t = rng.standard_normal((8, 2))
+    x_src = rng.standard_normal((8, 2))
+    assert backbone_input(back, x_t, 3, x_src, 1, 2).dtype == np.float32
+    b = predict_noise(back, x_t, 3, x_src, 1, 2)
+    assert b.dtype == np.float64
+    assert np.max(np.abs(predict_noise(wide, x_t, 3, x_src, 1, 2) - b)) < 1e-5

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from diffrouter import datagen, metrics
+from diffrouter import datagen, metrics, router
 from diffrouter.datagen import OracleScorePredictor, Topology
 from diffrouter.router import KIND_DIRECT, init_router
 from diffrouter.sample import (TranslationRequest, reverse_step_bridge,
@@ -11,6 +11,7 @@ from diffrouter.sample import (TranslationRequest, reverse_step_bridge,
                                sample_chain_bridge, sample_chain_diffusion,
                                translate)
 from diffrouter.schedules import build_bridge_schedule, build_diffusion_schedule
+from diffrouter.train import TrainConfig, train
 
 
 def _zero_predictor(x_t, t, x_src, tgt, src):
@@ -190,3 +191,21 @@ def test_request_validation():
         TranslationRequest(x_src=np.zeros(2), src=1, tgt=1)
     with pytest.raises(ValueError):
         TranslationRequest(x_src=np.zeros(2), src=0, tgt=1, mode="sideways")
+
+
+def test_float32_checkpoint_translation_tracks_float64(small_star, sch100, tmp_path):
+    """A loaded (float32) checkpoint samples with float64 chain state; its
+    indirect translation stays within 1e-4 of the same weights run in
+    float64 with the same seed (measured gap: ~2e-6 on outputs of scale 1)."""
+    topo, datasets, tuples, _ = small_star
+    cfg = TrainConfig(regime="paired-only", steps=1200, batch_size=64,
+                      hidden=(32, 32), seed=0, warmup_steps=100, lr=1e-3)
+    path = tmp_path / "p.ckpt"
+    router.save_checkpoint(path, train(cfg, topo, datasets, sch100).params)
+    loaded, _ = router.load_checkpoint(path)
+    req = TranslationRequest(x_src=tuples.domain(1)[:200], src=1, tgt=2, seed=3)
+    got = translate(loaded, req, topo, sch100)
+    want = translate(router.as_float64(loaded), req, topo, sch100)
+    assert got.total_steps == 200
+    assert got.x_tgt.dtype == np.float64
+    assert np.max(np.abs(got.x_tgt - want.x_tgt)) < 1e-4

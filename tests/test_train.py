@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from diffrouter import datagen
+from diffrouter import datagen, router
 from diffrouter.datagen import OracleScorePredictor
 from diffrouter.netcore import DivergenceError
 from diffrouter.router import freeze, init_router
@@ -241,6 +241,34 @@ def test_train_determinism(setup, sch100):
     for p, q in zip(a.params.param_list(), b.params.param_list()):
         assert np.array_equal(p, q)
     assert a.log_rows == b.log_rows
+
+
+def test_train_logs_trailing_partial_window(setup, sch100):
+    topo, datasets, *_ = setup
+    cfg = TrainConfig(regime="paired-only", steps=50, batch_size=16,
+                      hidden=(16,), seed=12, log_window=20)
+    steps = sorted({row[0] for row in train(cfg, topo, datasets, sch100).log_rows})
+    assert steps == [20, 40, 50]
+    short = TrainConfig(regime="paired-only", steps=5, batch_size=16,
+                        hidden=(16,), seed=12, log_window=20)
+    assert {row[0] for row in train(short, topo, datasets, sch100).log_rows} == {5}
+
+
+def test_train_from_loaded_checkpoint_is_float64(setup, sch100, tmp_path):
+    """A float32 checkpoint trains on as its exact float64 widening."""
+    topo, datasets, *_, params = setup
+    path = tmp_path / "p.ckpt"
+    router.save_checkpoint(path, params)
+    loaded, _ = router.load_checkpoint(path)
+    cfg = TrainConfig(regime="finetune", steps=10, batch_size=16, seed=4,
+                      n_refine=1, hidden=(16, 16))
+    a = train(cfg, topo, datasets, sch100, init_params=loaded)
+    for p in params.param_list():
+        p[...] = p.astype(np.float32)  # the values the file holds, kept float64
+    b = train(cfg, topo, datasets, sch100, init_params=params)
+    for p, q in zip(a.params.param_list(), b.params.param_list()):
+        assert p.dtype == np.float64 and np.array_equal(p, q)
+    assert all(p.dtype == np.float32 for p in loaded.param_list())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
