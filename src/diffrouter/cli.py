@@ -186,8 +186,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise CliError(f"unknown schedule profile {cfg.profile!r}")
     if cfg.variant not in VARIANTS:
         raise CliError(f"unknown schedule variant {cfg.variant!r}")
-    for name in ("n_train", "n_eval_tuples", "T", "steps", "batch_size",
-                 "time_dim", "emb_dim", "d"):
+    for name in ("n_train", "n_eval_tuples", "T", "steps", "finetune_steps",
+                 "scratch_steps", "batch_size", "log_window", "time_dim", "emb_dim",
+                 "d", "n_eval", "projections"):
         if getattr(cfg, name) <= 0:
             raise CliError(f"{name} must be positive")
     if cfg.n_refine < 0 or cfg.lambda1 < 0 or cfg.lambda2 < 0:

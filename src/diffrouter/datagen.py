@@ -15,12 +15,12 @@ evaluation tuples come from a third disjoint slice and are aligned across
 all K domains.
 """
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+
+from . import _blockfile
 
 FAMILIES = ("gaussian-affine", "moons-warp", "glyphs")
 
@@ -382,71 +382,41 @@ def partial_correlation(xi: np.ndarray, xj: np.ndarray, xc: np.ndarray) -> float
 
 
 def save_paired_dataset(path, ds: PairedDataset, meta: dict) -> None:
-    lines = [DATASET_MAGIC, f"edge={ds.edge[0]},{ds.edge[1]}", f"n={len(ds)}",
-             f"d={ds.x_a.shape[1]}"]
-    for k in sorted(meta):
-        lines.append(f"{k}={meta[k]}")
-    lines.append("---")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for arr in (ds.x_a, ds.x_b, ds.latent_indices.astype(np.float64)):
-            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-            fh.write(struct.pack("<I", flat.size))
-            fh.write(flat.tobytes())
+    """Dataset file in the `_blockfile` format: edge, n and d, then the meta
+    keys sorted; blocks x_a, x_b and the latent indices."""
+    header = {"edge": f"{ds.edge[0]},{ds.edge[1]}", "n": len(ds), "d": ds.x_a.shape[1],
+              **dict(sorted(meta.items()))}
+    _blockfile.write_blocks(path, DATASET_MAGIC, header,
+                            (ds.x_a, ds.x_b, ds.latent_indices))
 
 
 def load_paired_dataset(path) -> PairedDataset:
-    header, arrays = _load_blocks(path)
-    a, b = (int(v) for v in header["edge"].split(","))
-    n, d = int(header["n"]), int(header["d"])
-    return PairedDataset(edge=(a, b), x_a=arrays[0].reshape(n, d),
-                         x_b=arrays[1].reshape(n, d),
+    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+    with _blockfile.header_fields(path):
+        a, b = (int(v) for v in header["edge"].split(","))
+        n, d = int(header["n"]), int(header["d"])
+    _blockfile.check_sizes(path, arrays, (n * d, n * d, n))
+    return PairedDataset(edge=(a, b), x_a=arrays[0].astype(np.float64).reshape(n, d),
+                         x_b=arrays[1].astype(np.float64).reshape(n, d),
                          latent_indices=arrays[2].astype(np.int64))
 
 
 def save_eval_tuples(path, tuples: EvalTuples, meta: dict) -> None:
+    """Eval file in the `_blockfile` format: m, k and d, then the meta keys
+    sorted; blocks the (M, K, d) samples and the latent indices."""
     M, K, d = tuples.samples.shape
-    lines = [DATASET_MAGIC, f"m={M}", f"k={K}", f"d={d}"]
-    for key in sorted(meta):
-        lines.append(f"{key}={meta[key]}")
-    lines.append("---")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        flat = np.ascontiguousarray(tuples.samples, dtype="<f4").reshape(-1)
-        fh.write(struct.pack("<I", flat.size))
-        fh.write(flat.tobytes())
-        idx = np.ascontiguousarray(tuples.latent_indices, dtype="<f4").reshape(-1)
-        fh.write(struct.pack("<I", idx.size))
-        fh.write(idx.tobytes())
+    header = {"m": M, "k": K, "d": d, **dict(sorted(meta.items()))}
+    _blockfile.write_blocks(path, DATASET_MAGIC, header,
+                            (tuples.samples, tuples.latent_indices))
 
 
 def load_eval_tuples(path) -> EvalTuples:
-    header, arrays = _load_blocks(path)
-    M, K, d = int(header["m"]), int(header["k"]), int(header["d"])
-    return EvalTuples(samples=arrays[0].reshape(M, K, d),
+    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+    with _blockfile.header_fields(path):
+        M, K, d = int(header["m"]), int(header["k"]), int(header["d"])
+    _blockfile.check_sizes(path, arrays, (M * K * d, M))
+    return EvalTuples(samples=arrays[0].astype(np.float64).reshape(M, K, d),
                       latent_indices=arrays[1].astype(np.int64))
-
-
-def _load_blocks(path) -> tuple[dict, list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    sep = blob.index(b"---\n")
-    lines = blob[:sep].decode("utf-8").strip().split("\n")
-    if lines[0] != DATASET_MAGIC:
-        raise ValueError(f"{path} is not a diffrouter dataset file")
-    header = {}
-    for line in lines[1:]:
-        k, _, v = line.partition("=")
-        header[k] = v
-    offset = sep + 4
-    arrays = []
-    while offset < len(blob):
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        arrays.append(np.frombuffer(blob, dtype="<f4", count=count,
-                                    offset=offset).astype(np.float64))
-        offset += 4 * count
-    return header, arrays
 
 
 def instance_to_dict(inst: GaussianInstance) -> dict:
@@ -461,14 +431,3 @@ def instance_from_dict(data: dict) -> GaussianInstance:
                             offsets=[np.array(o) for o in data["offsets"]],
                             noise=[float(s) for s in data["noise"]],
                             latent_dim=int(data["latent_dim"]))
-
-
-def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

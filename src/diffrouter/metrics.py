@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen
-from ._kernels import _mmd_terms, sq_dists
+from ._kernels import mmd_terms, sq_dists
 from .datagen import EvalTuples, GaussianInstance
 from .sample import TranslationRequest, translate
 
@@ -60,7 +60,7 @@ def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
-    s_aa, s_bb, s_ab = _mmd_terms(np.ascontiguousarray(A), np.ascontiguousarray(B), gamma)
+    s_aa, s_bb, s_ab = mmd_terms(np.ascontiguousarray(A), np.ascontiguousarray(B), gamma)
     n, m = len(A), len(B)
     est = s_aa / (n * (n - 1)) + s_bb / (m * (m - 1)) - 2.0 * s_ab / (n * m)
     return max(float(est), 0.0)

@@ -8,12 +8,11 @@ of parameter arrays so the router can append its embedding table to the
 network parameters.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _blockfile, _kernels
 
 ACTIVATIONS = ("silu", "identity")
 
@@ -180,39 +179,17 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray] | DenseNet,
 
 
 def save_params(path, header: dict, arrays: list[np.ndarray]) -> None:
-    """Checkpoint format: text header lines "key=value", a "---" separator,
-    then per array a little-endian uint32 float count followed by the values
-    as little-endian float32."""
-    lines = [CHECKPOINT_MAGIC, f"version={CHECKPOINT_VERSION}"]
-    for k in sorted(header):
-        lines.append(f"{k}={header[k]}")
-    lines.append("---")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for arr in arrays:
-            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-            fh.write(struct.pack("<I", flat.size))
-            fh.write(flat.tobytes())
+    """Checkpoint file in the `_blockfile` format: `version` first, then the
+    header keys sorted, then the arrays as float32 blocks."""
+    header = {"version": CHECKPOINT_VERSION, **dict(sorted(header.items()))}
+    _blockfile.write_blocks(path, CHECKPOINT_MAGIC, header, arrays)
 
 
 def load_params(path) -> tuple[dict, list[np.ndarray]]:
-    """Returns (header dict, flat float32 arrays in file order)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    sep = blob.index(b"---\n")
-    text = blob[:sep].decode("utf-8").strip().split("\n")
-    if text[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a diffrouter checkpoint")
-    header = {}
-    for line in text[1:]:
-        k, _, val = line.partition("=")
-        header[k] = val
-    offset = sep + 4
-    arrays = []
-    while offset < len(blob):
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.astype(np.float32))
-        offset += 4 * count
-    return header, arrays
+    """Returns (header dict, flat float32 arrays in file order). Raises
+    ValueError for another file kind or checkpoint version."""
+    header, arrays = _blockfile.read_blocks(path, CHECKPOINT_MAGIC)
+    if header.get("version") != str(CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: checkpoint version {header.get('version')} "
+                         f"is not the supported {CHECKPOINT_VERSION}")
+    return header, [a.astype(np.float32) for a in arrays]

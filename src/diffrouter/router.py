@@ -11,11 +11,12 @@ for a loaded checkpoint. Noise estimates are returned as float64 either way.
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import netcore
+from . import _blockfile, netcore
 from .netcore import DenseNet, GradBuffer
 
 DEFAULT_TIME_DIM = 16
@@ -187,24 +188,23 @@ def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None
 
 
 def load_checkpoint(path) -> tuple[RouterParams, dict]:
-    """Parameters at the float32 the file stores, and the header."""
+    """Parameters at the float32 the file stores, and the header. Raises
+    ValueError if the blocks do not match the layout the header gives."""
     header, arrays = netcore.load_params(path)
-    widths = [int(w) for w in header["widths"].split(",")]
-    weights, biases = [], []
-    idx = 0
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        weights.append(arrays[idx].reshape(n_out, n_in))
-        biases.append(arrays[idx + 1].reshape(n_out))
-        idx += 2
-    emb_dim = int(header["emb_dim"])
-    n_domains = int(header["n_domains"])
-    domain_emb = arrays[idx].reshape(n_domains, emb_dim)
-    backbone = DenseNet(weights=weights, biases=biases, activation=header["activation"])
-    params = RouterParams(backbone=backbone, domain_emb=domain_emb,
-                          data_dim=int(header["data_dim"]), n_domains=n_domains,
-                          n_timesteps=int(header["n_timesteps"]),
-                          time_dim=int(header["time_dim"]),
-                          kind=header.get("kind", KIND_PAIRED))
+    with _blockfile.header_fields(path):
+        widths = [int(w) for w in header["widths"].split(",")]
+        n_domains, emb_dim = int(header["n_domains"]), int(header["emb_dim"])
+        data_dim, n_timesteps = int(header["data_dim"]), int(header["n_timesteps"])
+        time_dim, activation = int(header["time_dim"]), header["activation"]
+    # per layer a (out, in) weight and an (out,) bias, then the embedding table
+    shapes = [s for n_in, n_out in zip(widths[:-1], widths[1:])
+              for s in ((n_out, n_in), (n_out,))] + [(n_domains, emb_dim)]
+    _blockfile.check_sizes(path, arrays, [math.prod(s) for s in shapes])
+    arrays = [a.reshape(s) for a, s in zip(arrays, shapes)]
+    backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2], activation=activation)
+    params = RouterParams(backbone=backbone, domain_emb=arrays[-1], data_dim=data_dim,
+                          n_domains=n_domains, n_timesteps=n_timesteps,
+                          time_dim=time_dim, kind=header.get("kind", KIND_PAIRED))
     return params, header
 
 

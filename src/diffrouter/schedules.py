@@ -46,18 +46,6 @@ class BridgeSchedule:
     eta: float = 0.0
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Gaussian reverse-transition parameters (mean vector, scalar std)."""
-
-    mean: np.ndarray
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("transition kernel std must be nonnegative")
-
-
 def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) -> DiffusionSchedule:
     """Build the (a, sigma) tables for the requested profile.
 

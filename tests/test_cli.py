@@ -78,6 +78,10 @@ def test_validation_errors():
         load_config(None, ["instance.k=1"])
     with pytest.raises(CliError):
         load_config(None, ["schedule.profile=weird"])
+    for key in ("train.finetune_steps", "train.scratch_steps", "train.log_window",
+                "eval.n_eval", "eval.projections"):
+        with pytest.raises(CliError, match="must be positive"):
+            load_config(None, [f"{key}=0"])
 
 
 def test_config_hash_properties(tmp_path):
@@ -246,3 +250,65 @@ def test_bridge_run_variant(workspace):
     assert main(["gen-data", "--config", cfg_path] + ov) == 0
     assert main(["train-paired", "--config", cfg_path] + ov) == 0
     assert main(["finetune-direct", "--config", cfg_path] + ov) == 1
+
+
+# ---------------------------------------------------------------------------
+# damaged artifacts: one error line naming the file, never a traceback
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory with datasets and a paired checkpoint, made once."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = root / "tiny.ini"
+    cfg_path.write_text(TINY)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        assert main(["train-paired", "--config", str(cfg_path)]) == 0
+    return root, str(cfg_path)
+
+
+def _one_line_error(capsys, path) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and err.count("\n") == 1, err
+    assert str(path) in err, err
+    return err
+
+
+@pytest.mark.parametrize("damage, expect", [
+    ("mid-block", "runs past the end"),
+    ("block-boundary", "block sizes"),
+    ("version-99", "version 99"),
+    ("dataset-file", "not a diffrouter-checkpoint file"),
+])
+def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch,
+                                              capsys, damage, expect):
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+    cfg = load_config(cfg_path)
+    run = root / "runs" / config_hash(cfg)
+    blob = (run / "checkpoints/paired.ckpt").read_bytes()
+    damaged = {
+        "mid-block": lambda: blob[:-6],
+        # drops the last block, the domain embedding table
+        "block-boundary": lambda: blob[:-(4 + 4 * cfg.K * cfg.emb_dim)],
+        "version-99": lambda: blob.replace(b"\nversion=1\n", b"\nversion=99\n", 1),
+        "dataset-file": lambda: (run / "datasets/eval.bin").read_bytes(),
+    }[damage]()
+    assert damaged != blob
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(damaged)
+    assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
+                 "--checkpoint", str(path)]) == 1
+    assert expect in _one_line_error(capsys, path)
+
+
+def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):
+    root, cfg_path = workspace
+    run = _run(root, load_config(cfg_path))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    path = run / "datasets/eval.bin"
+    path.write_bytes(path.read_bytes()[:-10])
+    assert main(["eval", "--config", cfg_path]) == 1
+    assert "runs past the end" in _one_line_error(capsys, path)
