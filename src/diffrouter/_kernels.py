@@ -45,11 +45,26 @@ def affine(h, w, b):
 
 
 def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, step):
-    m[:] = b1 * m + (1.0 - b1) * g
-    v[:] = b2 * v + (1.0 - b2) * g * g
-    mhat = m / (1.0 - b1**step)
-    vhat = v / (1.0 - b2**step)
-    p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+    """In-place AdamW step on p, m and v:
+        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        p -= lr ((m / (1 - b1^step)) / (sqrt(v / (1 - b2^step)) + eps) + wd p)
+    evaluated in that order, through two work arrays."""
+    s = np.multiply(1.0 - b1, g)
+    m *= b1
+    m += s
+    np.multiply(1.0 - b2, g, out=s)
+    s *= g
+    v *= b2
+    v += s
+    np.divide(v, 1.0 - b2**step, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    u = np.divide(m, 1.0 - b1**step)
+    u /= s
+    np.multiply(wd, p, out=s)
+    u += s
+    u *= lr
+    p -= u
 
 
 def sq_dists(a, b):

@@ -465,7 +465,7 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
         if not paired_path.exists():
             raise CliError(f"missing pretrained checkpoint {paired_path}; "
                            "run train-paired first")
-        init_params, _ = router_mod.load_checkpoint(paired_path)
+        init_params = load_run_checkpoint(paired_path, cfg)
     tcfg = TrainConfig(
         lambda1=cfg.lambda1, lambda2=cfg.lambda2, n_refine=cfg.n_refine,
         regime=regime, variant=cfg.variant, steps=getattr(cfg, steps_field),
@@ -502,19 +502,32 @@ def cmd_train_scratch(args) -> int:
     return _train_common(args, "from-scratch", "scratch.ckpt", "scratch_steps")
 
 
-def _load_predictor(run: Path, checkpoint: str | None, default: str):
+def load_run_checkpoint(path: Path, cfg: ExperimentConfig) -> router_mod.RouterParams:
+    """The checkpoint's parameters; raises CliError unless its T, domain
+    count and data dimension are the run's."""
+    params, _ = router_mod.load_checkpoint(path)
+    for key, have, want in (("n_timesteps", params.n_timesteps, cfg.T),
+                            ("n_domains", params.n_domains, cfg.K),
+                            ("data_dim", params.data_dim, cfg.d)):
+        if have != want:
+            raise CliError(f"{path}: checkpoint {key}={have} does not match "
+                           f"this run's {want}")
+    return params
+
+
+def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
+                    default: str) -> router_mod.RouterParams:
     path = Path(checkpoint) if checkpoint else run / "checkpoints" / default
     if not path.exists():
         raise CliError(f"checkpoint not found: {path}")
-    params, header = router_mod.load_checkpoint(path)
-    return params, header
+    return load_run_checkpoint(path, cfg)
 
 
 def cmd_translate(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_dir(cfg)
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
-    params, _ = _load_predictor(run, args.checkpoint, "paired.ckpt")
+    params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")
     sch = build_schedule(cfg)
     n = args.n or cfg.n_eval
     x_src = tuples.domain(args.src)[:n]
@@ -552,7 +565,7 @@ def cmd_eval(args) -> int:
     run = run_dir(cfg)
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
     default_ckpt = "direct.ckpt" if args.mode == "direct" else "paired.ckpt"
-    params, _ = _load_predictor(run, args.checkpoint, default_ckpt)
+    params = _load_predictor(run, cfg, args.checkpoint, default_ckpt)
     sch = build_schedule(cfg)
     if args.directions == "edges":
         directions = edge_directions(topo)
@@ -584,7 +597,7 @@ def cmd_ablate(args) -> int:
     if not paired_path.exists():
         raise CliError(f"missing pretrained checkpoint {paired_path}; "
                        "run train-paired first")
-    init_params, _ = router_mod.load_checkpoint(paired_path)
+    init_params = load_run_checkpoint(paired_path, cfg)
 
     if args.sweep == "refine-steps":
         cells = [("n_refine", n, cfg.lambda2, n) for n in REFINE_SWEEP]

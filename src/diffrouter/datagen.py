@@ -254,34 +254,63 @@ def _glyph_prototypes() -> np.ndarray:
     return np.stack(protos)
 
 
-def _sobel_edges(img: np.ndarray) -> np.ndarray:
-    gx = ndimage.sobel(img, axis=0, mode="constant")
-    gy = ndimage.sobel(img, axis=1, mode="constant")
+# Rows per batched pass of _glyph_domains: large enough that the ndimage
+# calls run over many images at once, small enough to keep the work arrays
+# to a few MB.
+GLYPH_CHUNK = 512
+
+_SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
+_SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
+
+
+def _sobel_edges(imgs: np.ndarray) -> np.ndarray:
+    """Sobel gradient magnitude / 4 of each (side, side) image in a stack.
+    The difference and smoothing filters run along the image axes only, in
+    the order `ndimage.sobel` applies them to one image."""
+    gx = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=1, mode="constant")
+    ndimage.correlate1d(gx, _SOBEL_SMOOTH, axis=2, output=gx, mode="constant")
+    gy = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=2, mode="constant")
+    ndimage.correlate1d(gy, _SOBEL_SMOOTH, axis=1, output=gy, mode="constant")
     mag = np.hypot(gx, gy)
     return mag / 4.0
 
 
-def _rotate_shrink(img: np.ndarray, angle_deg: float = 20.0, scale: float = 0.8) -> np.ndarray:
+def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0, scale: float = 0.8) -> np.ndarray:
+    """Each image of a stack rotated by angle_deg and shrunk by scale about
+    its centre: one order-1 transform whose batch axis maps to itself."""
     ang = np.deg2rad(angle_deg)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / scale
     center = (GLYPH_SIDE - 1) / 2.0
     offset = center - rot @ np.array([center, center])
-    return ndimage.affine_transform(img, rot, offset=offset, order=1, mode="constant")
+    matrix = np.eye(3)
+    matrix[1:, 1:] = rot
+    return ndimage.affine_transform(imgs, matrix, offset=(0.0, *offset), order=1,
+                                    mode="constant")
 
 
 def _glyph_domains(z: np.ndarray, protos: np.ndarray, K: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """z columns: prototype index, row shift, col shift, brightness."""
+    """z columns: prototype index, row shift, col shift, brightness. Rows are
+    processed GLYPH_CHUNK at a time; per chunk the noise is drawn in one
+    call, in the row-by-row, domain-by-domain order of the views."""
     n = z.shape[0]
     out = np.empty((n, K, GLYPH_DIM))
-    for i in range(n):
-        proto = protos[int(z[i, 0])]
-        img = np.roll(np.roll(proto, int(z[i, 1]), axis=0), int(z[i, 2]), axis=1)
-        img = img * z[i, 3]
-        views = [img, _sobel_edges(img), _rotate_shrink(img)]
+    side = np.arange(GLYPH_SIDE)
+    for lo in range(0, n, GLYPH_CHUNK):
+        zc = z[lo:lo + GLYPH_CHUNK]
+        # np.roll by (r, c) as a gather: pixel (i, j) comes from (i - r, j - c)
+        rows = (side[None, :] - zc[:, 1, None].astype(int)) % GLYPH_SIDE
+        cols = (side[None, :] - zc[:, 2, None].astype(int)) % GLYPH_SIDE
+        imgs = protos[zc[:, 0].astype(int)[:, None, None], rows[:, :, None],
+                      cols[:, None, :]]
+        imgs *= zc[:, 3, None, None]
+        views = [imgs, _sobel_edges(imgs), _rotate_shrink(imgs)]
+        if K > 3:
+            views.append(_rotate_shrink(imgs, angle_deg=-20.0))
+        block = out[lo:lo + GLYPH_CHUNK]
+        block[...] = rng.normal(0.0, 0.02, size=block.shape)
         for k in range(K):
-            base = views[k] if k < 3 else _rotate_shrink(img, angle_deg=-20.0)
-            out[i, k, :] = base.reshape(-1) + rng.normal(0.0, 0.02, size=GLYPH_DIM)
+            block[:, k, :] += views[min(k, 3)].reshape(len(zc), GLYPH_DIM)
     return out
 
 

@@ -3,9 +3,10 @@
 Parameters are numpy arrays: float64 while training, float32 as loaded from
 a checkpoint. The forward pass computes in the dtype of the weights. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
-between layers (none after the last). The optimizer operates on flat lists
-of parameter arrays so the router can append its embedding table to the
-network parameters.
+between layers (none after the last). `backward` can write its gradients
+into caller-owned arrays, and the optimizer takes lists of arrays: the router
+keeps every parameter, and every gradient, as a view into one flat vector,
+so its step is one AdamW update of one array.
 """
 
 from dataclasses import dataclass, field
@@ -54,14 +55,6 @@ class GradBuffer:
             out.append(b)
         return out
 
-    def add_(self, other: "GradBuffer") -> None:
-        for a, b in zip(self.param_list(), other.param_list()):
-            a += b
-
-    def scale_(self, c: float) -> None:
-        for a in self.param_list():
-            a *= c
-
 
 def init_dense(widths: list[int], rng: np.random.Generator, activation: str = "silu",
                scale: float | None = None) -> DenseNet:
@@ -76,21 +69,20 @@ def init_dense(widths: list[int], rng: np.random.Generator, activation: str = "s
     return DenseNet(weights=weights, biases=biases, activation=activation)
 
 
-def zeros_like_grads(net: DenseNet) -> GradBuffer:
-    return GradBuffer(weights=[np.zeros_like(w) for w in net.weights],
-                      biases=[np.zeros_like(b) for b in net.biases])
-
-
 def _activate(net: DenseNet, z: np.ndarray) -> np.ndarray:
     if net.activation == "silu":
         return _kernels.silu(z)
-    return z
+    if net.activation == "identity":
+        return z
+    raise ValueError(f"unsupported activation {net.activation!r}")
 
 
 def _activate_grad(net: DenseNet, z: np.ndarray) -> np.ndarray:
     if net.activation == "silu":
         return _kernels.silu_grad(z)
-    return np.ones_like(z)
+    if net.activation == "identity":
+        return np.ones_like(z)
+    raise ValueError(f"unsupported activation {net.activation!r}")
 
 
 def forward_cached(net: DenseNet, x: np.ndarray):
@@ -120,22 +112,26 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNet, cache, output_grad: np.ndarray):
-    """Backpropagate output_grad; returns (GradBuffer, input_grad)."""
+def backward(net: DenseNet, cache, output_grad: np.ndarray, out: GradBuffer | None = None):
+    """Backpropagate output_grad; returns (GradBuffer, input_grad). The
+    gradients are written into `out` when it is given (float64 arrays shaped
+    like the parameters), else into new arrays."""
     hs, zs, squeeze = cache
     g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
     if g.shape != zs[-1].shape:
         raise ValueError(f"output grad shape {g.shape} != output shape {zs[-1].shape}")
-    grads = GradBuffer(weights=[None] * len(net.weights), biases=[None] * len(net.biases))
+    if out is None:
+        out = GradBuffer(weights=[np.empty(w.shape) for w in net.weights],
+                         biases=[np.empty(b.shape) for b in net.biases])
     n_layers = len(net.weights)
     for li in range(n_layers - 1, -1, -1):
         if li < n_layers - 1:
             g = g * _activate_grad(net, zs[li])
-        grads.weights[li] = g.T @ hs[li]
-        grads.biases[li] = g.sum(axis=0)
+        np.matmul(g.T, hs[li], out=out.weights[li])
+        np.sum(g, axis=0, out=out.biases[li])
         g = g @ net.weights[li]
     gx = g[0] if squeeze else g
-    return grads, gx
+    return out, gx
 
 
 @dataclass

@@ -7,12 +7,19 @@ domain embedding table is trained jointly with the backbone.
 
 The backbone runs in the dtype of its weights: float64 in training, float32
 for a loaded checkpoint. Noise estimates are returned as float64 either way.
+
+All parameters live in one contiguous vector, `RouterParams.flat`: the
+backbone weights and biases, layer by layer, then the embedding table, in
+`param_list()` order, which is also the checkpoint block order. The arrays
+the backbone and `domain_emb` expose are views into it, and `RouterGrads`
+keeps a twin gradient vector the same way, so adding, scaling, copying and
+the optimizer step are each one operation on one array.
 """
 
-import copy
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +35,9 @@ KIND_DIRECT = "direct"
 
 @dataclass
 class RouterParams:
+    """Router parameters. On construction the backbone arrays and `domain_emb`
+    become views into `flat`, which is built from them when not given."""
+
     backbone: DenseNet
     domain_emb: np.ndarray  # (K, E)
     data_dim: int
@@ -35,6 +45,16 @@ class RouterParams:
     n_timesteps: int
     time_dim: int = DEFAULT_TIME_DIM
     kind: str = KIND_PAIRED
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        arrays = self.param_list()
+        if self.flat is None:
+            self.flat = np.concatenate([a.ravel() for a in arrays])
+        arrays = _views(self.flat, [a.shape for a in arrays])
+        self.backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2],
+                                 activation=self.backbone.activation)
+        self.domain_emb = arrays[-1]
 
     @property
     def emb_dim(self) -> int:
@@ -49,24 +69,26 @@ class RouterParams:
 
 @dataclass
 class RouterGrads:
+    """Gradients laid out like RouterParams: `net` and `domain_emb` are views
+    into the float64 vector `flat`."""
+
     net: GradBuffer
     domain_emb: np.ndarray
+    flat: np.ndarray
 
     def param_list(self) -> list[np.ndarray]:
         return self.net.param_list() + [self.domain_emb]
 
     def add_(self, other: "RouterGrads") -> None:
-        self.net.add_(other.net)
-        self.domain_emb += other.domain_emb
+        self.flat += other.flat
 
     def scale_(self, c: float) -> None:
-        self.net.scale_(c)
-        self.domain_emb *= c
+        self.flat *= c
 
 
 @dataclass(frozen=True)
 class FrozenRouter:
-    """Immutable deep copy of RouterParams used as the reference predictor."""
+    """Independent copy of RouterParams used as the reference predictor."""
 
     params: RouterParams
 
@@ -100,6 +122,14 @@ def time_features(t, n_timesteps: int, width: int) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
+@functools.lru_cache(maxsize=16)
+def time_table(n_timesteps: int, width: int) -> np.ndarray:
+    """Read-only (T + 1, width) table: row t is time_features(t, T, width)."""
+    table = time_features(np.arange(n_timesteps + 1), n_timesteps, width)
+    table.flags.writeable = False
+    return table
+
+
 def _check_labels(params: RouterParams, tgt: int, src: int) -> None:
     for lbl in (tgt, src):
         if not 0 <= lbl < params.n_domains:
@@ -114,13 +144,19 @@ def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> n
     if x_t.shape[1] != params.data_dim or x_src.shape[1] != params.data_dim:
         raise ValueError(f"expected data dimension {params.data_dim}, "
                          f"got {x_t.shape[1]} / {x_src.shape[1]}")
-    B = x_t.shape[0]
-    tf = time_features(t, params.n_timesteps, params.time_dim)
-    tf = np.broadcast_to(np.atleast_2d(tf), (B, params.time_dim))
-    e_tgt = np.broadcast_to(params.domain_emb[tgt], (B, params.emb_dim))
-    e_src = np.broadcast_to(params.domain_emb[src], (B, params.emb_dim))
-    return np.concatenate([x_t, x_src, tf, e_tgt, e_src], axis=1,
-                          dtype=params.backbone.weights[0].dtype)
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu" or t.size and not (
+            0 <= t.min() and t.max() <= params.n_timesteps):
+        raise ValueError(f"time steps must be integers in [0, {params.n_timesteps}]")
+    d, E = params.data_dim, params.emb_dim
+    lo = 2 * d + params.time_dim
+    inp = np.empty((x_t.shape[0], lo + 2 * E), dtype=params.backbone.weights[0].dtype)
+    inp[:, :d] = x_t
+    inp[:, d:2 * d] = x_src
+    inp[:, 2 * d:lo] = time_table(params.n_timesteps, params.time_dim)[t]
+    inp[:, lo:lo + E] = params.domain_emb[tgt]
+    inp[:, lo + E:] = params.domain_emb[src]
+    return inp
 
 
 def predict_noise(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
@@ -140,35 +176,51 @@ def forward_cached(params: RouterParams, x_t, t, x_src, tgt: int, src: int):
 
 
 def backward(params: RouterParams, cache, output_grad: np.ndarray) -> RouterGrads:
+    """Gradients of <output, output_grad> with respect to every parameter;
+    the backbone's are written straight into the new gradient vector."""
     net_cache, tgt, src = cache
-    net_grads, gx = netcore.backward(params.backbone, net_cache, output_grad)
+    grads = _grads(params, np.empty(params.flat.size))
+    grads.domain_emb[:] = 0.0
+    _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=grads.net)
     gx = np.atleast_2d(gx)
-    emb_grad = np.zeros_like(params.domain_emb)
     E = params.emb_dim
     lo = 2 * params.data_dim + params.time_dim
-    emb_grad[tgt] += gx[:, lo:lo + E].sum(axis=0)
-    emb_grad[src] += gx[:, lo + E:lo + 2 * E].sum(axis=0)
-    return RouterGrads(net=net_grads, domain_emb=emb_grad)
+    grads.domain_emb[tgt] += gx[:, lo:lo + E].sum(axis=0)
+    grads.domain_emb[src] += gx[:, lo + E:lo + 2 * E].sum(axis=0)
+    return grads
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views into the 1-D `flat`, one per shape."""
+    out, lo = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[lo:lo + n].reshape(shape))
+        lo += n
+    if lo != flat.size:
+        raise ValueError(f"the shapes hold {lo} values, the vector {flat.size}")
+    return out
+
+
+def _grads(params: RouterParams, flat: np.ndarray) -> RouterGrads:
+    arrays = _views(flat, [a.shape for a in params.param_list()])
+    return RouterGrads(net=GradBuffer(weights=arrays[:-1:2], biases=arrays[1:-1:2]),
+                       domain_emb=arrays[-1], flat=flat)
 
 
 def zeros_like_grads(params: RouterParams) -> RouterGrads:
-    return RouterGrads(net=netcore.zeros_like_grads(params.backbone),
-                       domain_emb=np.zeros_like(params.domain_emb))
+    return _grads(params, np.zeros(params.flat.size))
 
 
 def as_float64(params: RouterParams) -> RouterParams:
     """Independent float64 copy of params, e.g. of a loaded float32
     checkpoint that is to be trained further."""
-    net = params.backbone
-    backbone = DenseNet(weights=[w.astype(np.float64) for w in net.weights],
-                        biases=[b.astype(np.float64) for b in net.biases],
-                        activation=net.activation)
-    return replace(params, backbone=backbone,
-                   domain_emb=params.domain_emb.astype(np.float64))
+    return replace(params, flat=params.flat.astype(np.float64))
 
 
 def freeze(params: RouterParams) -> FrozenRouter:
-    return FrozenRouter(params=copy.deepcopy(params))
+    """A reference predictor holding a copy of params' current values."""
+    return FrozenRouter(params=replace(params, flat=params.flat.copy()))
 
 
 def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None) -> None:
@@ -196,6 +248,8 @@ def load_checkpoint(path) -> tuple[RouterParams, dict]:
         n_domains, emb_dim = int(header["n_domains"]), int(header["emb_dim"])
         data_dim, n_timesteps = int(header["data_dim"]), int(header["n_timesteps"])
         time_dim, activation = int(header["time_dim"]), header["activation"]
+    if activation not in netcore.ACTIVATIONS:
+        raise ValueError(f"{path}: unsupported activation {activation!r}")
     # per layer a (out, in) weight and an (out,) bias, then the embedding table
     shapes = [s for n_in, n_out in zip(widths[:-1], widths[1:])
               for s in ((n_out, n_in), (n_out,))] + [(n_domains, emb_dim)]

@@ -295,7 +295,7 @@ def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
                                        variant=cfg.variant, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
-        optimizer_step(opt, params.param_list(), grads.param_list())
+        optimizer_step(opt, [params.flat], [grads.flat])
         log.push(f"paired:{ds.edge[0]}-{ds.edge[1]}", loss)
         if step % cfg.log_window == 0:
             log.flush(step, opt.effective_lr())
@@ -337,7 +337,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
                                                      unpaired, cfg, sch, rng, topo)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
-            optimizer_step(opt, params.param_list(), grads.param_list())
+            optimizer_step(opt, [params.flat], [grads.flat])
             log.push(f"unpaired:{i}->{j}", l_u)
             if cfg.lambda2 > 0.0:
                 log.push(f"paired:{paired_ds.edge[0]}-{paired_ds.edge[1]}", l_p)

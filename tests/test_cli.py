@@ -280,6 +280,7 @@ def _one_line_error(capsys, path) -> str:
     ("block-boundary", "block sizes"),
     ("version-99", "version 99"),
     ("dataset-file", "not a diffrouter-checkpoint file"),
+    ("activation-tanh", "unsupported activation 'tanh'"),
 ])
 def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch,
                                               capsys, damage, expect):
@@ -294,6 +295,8 @@ def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch
         "block-boundary": lambda: blob[:-(4 + 4 * cfg.K * cfg.emb_dim)],
         "version-99": lambda: blob.replace(b"\nversion=1\n", b"\nversion=99\n", 1),
         "dataset-file": lambda: (run / "datasets/eval.bin").read_bytes(),
+        "activation-tanh": lambda: blob.replace(b"\nactivation=silu\n",
+                                                b"\nactivation=tanh\n", 1),
     }[damage]()
     assert damaged != blob
     path = tmp_path / "damaged.ckpt"
@@ -301,6 +304,35 @@ def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch
     assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
                  "--checkpoint", str(path)]) == 1
     assert expect in _one_line_error(capsys, path)
+
+
+@pytest.mark.parametrize("override, have, want", [
+    ("schedule.t=20", "n_timesteps=10", "20"),
+    ("instance.k=4", "n_domains=3", "4"),
+    ("instance.d=3", "data_dim=2", "3"),
+])
+def test_checkpoint_of_another_run_is_one_line_error(trained_run, tmp_path, monkeypatch,
+                                                    capsys, override, have, want):
+    """A checkpoint trained with other T, K or d is refused, not silently run."""
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    ckpt = root / "runs" / config_hash(load_config(cfg_path)) / "checkpoints/paired.ckpt"
+    flags = ["--config", cfg_path, "--override", override]
+    assert main(["gen-data", *flags]) == 0
+    capsys.readouterr()
+    stages = [["translate", "--src", "1", "--tgt", "2", "--checkpoint", str(ckpt)],
+              ["eval", "--checkpoint", str(ckpt)],
+              ["finetune-direct", "--init-checkpoint", str(ckpt)]]
+    for argv in stages:
+        assert main([*argv, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: CliError: {ckpt}: checkpoint {have} does not match "
+                       f"this run's {want}\n")
+    # ablate finds the run's own paired.ckpt
+    run = tmp_path / "runs" / config_hash(load_config(cfg_path, [override]))
+    (run / "checkpoints/paired.ckpt").write_bytes(ckpt.read_bytes())
+    assert main(["ablate", "lambda2", *flags]) == 1
+    assert f"checkpoint {have} does not match" in capsys.readouterr().err
 
 
 def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):

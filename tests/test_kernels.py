@@ -84,3 +84,23 @@ def test_mmd_rbf_median_bandwidth_matches_direct_formula(rng):
     want = (k_aa.sum() / (n * (n - 1)) + k_bb.sum() / (m * (m - 1))
             - 2.0 * np.exp(-gamma * _direct_sq_dists(a, b)).sum() / (n * m))
     assert np.isclose(mmd_rbf(a, b), max(want, 0.0), rtol=1e-10, atol=0.0)
+
+
+def _adamw_plain(p, g, m, v, lr, b1, b2, eps, wd, step):
+    m[:] = b1 * m + (1.0 - b1) * g
+    v[:] = b2 * v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1**step)
+    vhat = v / (1.0 - b2**step)
+    p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_update_matches_plain_expression_bitwise(rng, wd):
+    state = [rng.standard_normal(4096), np.zeros(4096), np.zeros(4096)]
+    plain = [a.copy() for a in state]
+    for step in range(1, 6):
+        g = rng.standard_normal(4096) * 10.0 ** rng.uniform(-8, 2, size=4096)
+        _kernels.adamw_update(*state[:1], g, *state[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
+        _adamw_plain(*plain[:1], g, *plain[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
+        for a, b in zip(state, plain):
+            assert np.array_equal(a, b)
