@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -23,98 +24,107 @@ import numpy as np
 from . import __version__, datagen, metrics
 from . import router as router_mod
 from .datagen import FAMILIES
-from .netcore import DivergenceError
-from .sample import TranslationRequest, route_path, translate
+from .netcore import ACTIVATIONS, DivergenceError
+from .sample import TranslationRequest, translate
 from .schedules import PROFILES, build_bridge_schedule, build_diffusion_schedule
-from .train import REGIMES, VARIANTS, TrainConfig, train
+from .train import VARIANTS, TrainConfig, train
 
 SUBDIRS = ("datasets", "checkpoints", "logs", "reports", "plots")
 
 REFINE_SWEEP = (0, 1, 3, 5)
 LAMBDA2_SWEEP = (0.0, 0.3, 1.0, 3.0)
 
-_DEFAULTS = {
-    "instance": {"family": "gaussian-affine", "topology": "star", "k": "3",
-                 "d": "2", "n_train": "20000", "n_eval_tuples": "5000",
-                 "central": "0", "edge_shift": "0.0"},
-    "schedule": {"t": "100", "profile": "linear", "eta": "0.0",
-                 "variant": "diffusion", "bridge_scale": "1.0"},
-    "network": {"hidden": "128,128,128", "time_dim": "16", "emb_dim": "8",
-                "activation": "silu"},
-    "train": {"steps": "20000", "finetune_steps": "6000", "scratch_steps": "6000",
-              "batch_size": "128", "lr": "1e-4", "finetune_lr": "5e-5",
-              "warmup_steps": "3000", "lambda1": "1.0", "lambda2": "1.0",
-              "n_refine": "5", "log_window": "100", "curriculum": "true"},
-    "eval": {"n_eval": "500", "steps": "0", "projections": "128"},
-    "output": {"dir": "runs"},
-    "run": {"seed": "0"},
-}
-
 
 class CliError(RuntimeError):
     """User-facing configuration or input error."""
 
 
+def _key(section: str, key: str, default):
+    """A config field stored as `key` under `[section]` of the INI file."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    family: str
-    topology: str
-    K: int
-    d: int
-    n_train: int
-    n_eval_tuples: int
-    central: int
-    edge_shift: float
-    T: int
-    profile: str
-    eta: float
-    variant: str
-    bridge_scale: float
-    hidden: tuple[int, ...]
-    time_dim: int
-    emb_dim: int
-    activation: str
-    steps: int
-    finetune_steps: int
-    scratch_steps: int
-    batch_size: int
-    lr: float
-    finetune_lr: float
-    warmup_steps: int
-    lambda1: float
-    lambda2: float
-    n_refine: int
-    log_window: int
-    curriculum: bool
-    n_eval: int
-    eval_steps: int
-    projections: int
-    outdir: str
-    seed: int
+    """The run configuration, declared once: each field is one INI key with
+    its default, and its annotation decides how a given value is parsed. The
+    field order is the order of the keys in a run's config.ini."""
+
+    family: str = _key("instance", "family", "gaussian-affine")
+    topology: str = _key("instance", "topology", "star")
+    K: int = _key("instance", "k", 3)
+    d: int = _key("instance", "d", 2)
+    n_train: int = _key("instance", "n_train", 20000)
+    n_eval_tuples: int = _key("instance", "n_eval_tuples", 5000)
+    central: int = _key("instance", "central", 0)
+    edge_shift: float = _key("instance", "edge_shift", 0.0)
+    T: int = _key("schedule", "t", 100)
+    profile: str = _key("schedule", "profile", "linear")
+    eta: float = _key("schedule", "eta", 0.0)
+    variant: str = _key("schedule", "variant", "diffusion")
+    bridge_scale: float = _key("schedule", "bridge_scale", 1.0)
+    hidden: tuple[int, ...] = _key("network", "hidden", (128, 128, 128))
+    time_dim: int = _key("network", "time_dim", 16)
+    emb_dim: int = _key("network", "emb_dim", 8)
+    activation: str = _key("network", "activation", "silu")
+    steps: int = _key("train", "steps", 20000)
+    finetune_steps: int = _key("train", "finetune_steps", 6000)
+    scratch_steps: int = _key("train", "scratch_steps", 6000)
+    batch_size: int = _key("train", "batch_size", 128)
+    lr: float = _key("train", "lr", 1e-4)
+    finetune_lr: float = _key("train", "finetune_lr", 5e-5)
+    warmup_steps: int = _key("train", "warmup_steps", 3000)
+    lambda1: float = _key("train", "lambda1", 1.0)
+    lambda2: float = _key("train", "lambda2", 1.0)
+    n_refine: int = _key("train", "n_refine", 5)
+    log_window: int = _key("train", "log_window", 100)
+    curriculum: bool = _key("train", "curriculum", True)
+    n_eval: int = _key("eval", "n_eval", 500)
+    eval_steps: int = _key("eval", "steps", 0)
+    projections: int = _key("eval", "projections", 128)
+    outdir: str = _key("output", "dir", "runs")
+    seed: int = _key("run", "seed", 0)
 
 
-def _resolved_items(parser: configparser.ConfigParser) -> dict[str, str]:
-    items = {}
-    for section, defaults in _DEFAULTS.items():
-        for key, default in defaults.items():
-            val = parser.get(section, key, fallback=default)
-            items[f"{section}.{key}"] = val
-    # reject unknown keys early so typos do not silently fall back to defaults
-    for section in parser.sections():
-        if section not in _DEFAULTS:
-            raise CliError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _DEFAULTS[section]:
-                raise CliError(f"unknown config key {section}.{key}")
-    return items
+# field name -> (section, key)
+_INI_KEY = {f.name: f.metadata["ini"] for f in fields(ExperimentConfig)}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# annotation -> (parser of the INI text, what a bad value should have been)
+_PARSERS = {
+    str: (str, "a string"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda text: _BOOLS[text.lower()], "one of 1/0/true/false/yes/no"),
+    tuple[int, ...]: (lambda text: tuple(int(w) for w in text.split(",")),
+                      "comma-separated integers"),
+}
+
+
+def _key_name(name: str) -> str:
+    """`section.key` of the ExperimentConfig field `name`."""
+    return ".".join(_INI_KEY[name])
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are taken literally, so a '%' reads back as written to config.ini
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         if not Path(path).exists():
             raise CliError(f"config file not found: {path}")
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise CliError(f"malformed config file {path}: {exc}") from None
     for ov in overrides or []:
         key, sep, val = ov.partition("=")
         if not sep or "." not in key:
@@ -123,50 +133,28 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, name, val)
-    items = _resolved_items(parser)
-
-    def geti(k):
-        return int(items[k])
-
-    def getf(k):
-        return float(items[k])
-
-    cfg = ExperimentConfig(
-        family=items["instance.family"],
-        topology=items["instance.topology"],
-        K=geti("instance.k"),
-        d=geti("instance.d"),
-        n_train=geti("instance.n_train"),
-        n_eval_tuples=geti("instance.n_eval_tuples"),
-        central=geti("instance.central"),
-        edge_shift=getf("instance.edge_shift"),
-        T=geti("schedule.t"),
-        profile=items["schedule.profile"],
-        eta=getf("schedule.eta"),
-        variant=items["schedule.variant"],
-        bridge_scale=getf("schedule.bridge_scale"),
-        hidden=tuple(int(w) for w in items["network.hidden"].split(",")),
-        time_dim=geti("network.time_dim"),
-        emb_dim=geti("network.emb_dim"),
-        activation=items["network.activation"],
-        steps=geti("train.steps"),
-        finetune_steps=geti("train.finetune_steps"),
-        scratch_steps=geti("train.scratch_steps"),
-        batch_size=geti("train.batch_size"),
-        lr=getf("train.lr"),
-        finetune_lr=getf("train.finetune_lr"),
-        warmup_steps=geti("train.warmup_steps"),
-        lambda1=getf("train.lambda1"),
-        lambda2=getf("train.lambda2"),
-        n_refine=geti("train.n_refine"),
-        log_window=geti("train.log_window"),
-        curriculum=items["train.curriculum"].lower() in ("1", "true", "yes"),
-        n_eval=geti("eval.n_eval"),
-        eval_steps=geti("eval.steps"),
-        projections=geti("eval.projections"),
-        outdir=items["output.dir"],
-        seed=geti("run.seed"),
-    )
+    # reject unknown keys early so typos do not silently fall back to defaults
+    if parser.defaults():  # [DEFAULT] keys belong to no section; refuse, not drop, them
+        raise CliError(f"unknown config section [{parser.default_section}]")
+    known = set(_INI_KEY.values())
+    for section in parser.sections():
+        if section not in {s for s, _ in _INI_KEY.values()}:
+            raise CliError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise CliError(f"unknown config key {section}.{key}")
+    given = {}
+    for f in fields(ExperimentConfig):
+        text = parser.get(*_INI_KEY[f.name], fallback=None)
+        if text is None:
+            continue
+        parse, expected = _PARSERS[f.type]
+        try:
+            given[f.name] = parse(text)
+        except (KeyError, ValueError):
+            raise CliError(f"{_key_name(f.name)}: expected {expected}, "
+                           f"got {text!r}") from None
+    cfg = ExperimentConfig(**given)
     _validate(cfg)
     return cfg
 
@@ -186,11 +174,20 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise CliError(f"unknown schedule profile {cfg.profile!r}")
     if cfg.variant not in VARIANTS:
         raise CliError(f"unknown schedule variant {cfg.variant!r}")
+    if cfg.activation not in ACTIVATIONS:
+        raise CliError(f"unknown network.activation {cfg.activation!r}; "
+                       f"expected one of {', '.join(ACTIVATIONS)}")
     for name in ("n_train", "n_eval_tuples", "T", "steps", "finetune_steps",
                  "scratch_steps", "batch_size", "log_window", "time_dim", "emb_dim",
-                 "d", "n_eval", "projections"):
-        if getattr(cfg, name) <= 0:
-            raise CliError(f"{name} must be positive")
+                 "d", "n_eval", "projections", "lr", "finetune_lr"):
+        value = getattr(cfg, name)
+        if not value > 0:  # also refuses a nan rate
+            raise CliError(f"{_key_name(name)} must be positive, got {value}")
+    if not all(w > 0 for w in cfg.hidden):
+        raise CliError(f"network.hidden widths must be positive, got {_ini_text(cfg.hidden)}")
+    if cfg.time_dim % 2:
+        raise CliError(f"network.time_dim must be even (sin and cos halves), "
+                       f"got {cfg.time_dim}")
     if cfg.n_refine < 0 or cfg.lambda1 < 0 or cfg.lambda2 < 0:
         raise CliError("n_refine and loss coefficients must be nonnegative")
 
@@ -209,44 +206,12 @@ def run_dir(cfg: ExperimentConfig) -> Path:
         (run / sub).mkdir(parents=True, exist_ok=True)
     cfg_copy = run / "config.ini"
     if not cfg_copy.exists():
-        lines = []
-        for section, defaults in _DEFAULTS.items():
-            lines.append(f"[{section}]")
-            for key in defaults:
-                lines.append(f"{key} = {_cfg_item(cfg, section, key)}")
-            lines.append("")
-        cfg_copy.write_text("\n".join(lines), encoding="utf-8")
+        blocks = []
+        for section, group in groupby(_INI_KEY.items(), key=lambda item: item[1][0]):
+            blocks.append("\n".join([f"[{section}]"] + [
+                f"{key} = {_ini_text(getattr(cfg, name))}" for name, (_, key) in group]))
+        cfg_copy.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     return run
-
-
-_FIELD_BY_KEY = {
-    "instance.family": "family", "instance.topology": "topology", "instance.k": "K",
-    "instance.d": "d", "instance.n_train": "n_train",
-    "instance.n_eval_tuples": "n_eval_tuples", "instance.central": "central",
-    "instance.edge_shift": "edge_shift",
-    "schedule.t": "T", "schedule.profile": "profile", "schedule.eta": "eta",
-    "schedule.variant": "variant", "schedule.bridge_scale": "bridge_scale",
-    "network.hidden": "hidden", "network.time_dim": "time_dim",
-    "network.emb_dim": "emb_dim", "network.activation": "activation",
-    "train.steps": "steps", "train.finetune_steps": "finetune_steps",
-    "train.scratch_steps": "scratch_steps", "train.batch_size": "batch_size",
-    "train.lr": "lr", "train.finetune_lr": "finetune_lr",
-    "train.warmup_steps": "warmup_steps", "train.lambda1": "lambda1",
-    "train.lambda2": "lambda2", "train.n_refine": "n_refine",
-    "train.log_window": "log_window", "train.curriculum": "curriculum",
-    "eval.n_eval": "n_eval", "eval.steps": "eval_steps",
-    "eval.projections": "projections",
-    "output.dir": "outdir", "run.seed": "seed",
-}
-
-
-def _cfg_item(cfg: ExperimentConfig, section: str, key: str) -> str:
-    val = getattr(cfg, _FIELD_BY_KEY[f"{section}.{key}"])
-    if isinstance(val, tuple):
-        return ",".join(str(v) for v in val)
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    return str(val)
 
 
 def child_seed(master: int, component: str) -> int:
@@ -452,6 +417,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _train_config(cfg: ExperimentConfig, regime: str, steps: int, seed_key: str,
+                  **changes) -> TrainConfig:
+    """The TrainConfig of one `regime` run of this experiment, seeded from
+    `seed_key`; `changes` replace single fields (the ablation cells)."""
+    return replace(TrainConfig(
+        lambda1=cfg.lambda1, lambda2=cfg.lambda2, n_refine=cfg.n_refine,
+        regime=regime, variant=cfg.variant, steps=steps, batch_size=cfg.batch_size,
+        seed=child_seed(cfg.seed, seed_key), lr=cfg.lr, finetune_lr=cfg.finetune_lr,
+        warmup_steps=cfg.warmup_steps, log_window=cfg.log_window, hidden=cfg.hidden,
+        time_dim=cfg.time_dim, emb_dim=cfg.emb_dim, activation=cfg.activation,
+        curriculum=cfg.curriculum), **changes)
+
+
 def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     cfg = load_config(args.config, args.override)
     run = run_dir(cfg)
@@ -466,13 +444,7 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
             raise CliError(f"missing pretrained checkpoint {paired_path}; "
                            "run train-paired first")
         init_params = load_run_checkpoint(paired_path, cfg)
-    tcfg = TrainConfig(
-        lambda1=cfg.lambda1, lambda2=cfg.lambda2, n_refine=cfg.n_refine,
-        regime=regime, variant=cfg.variant, steps=getattr(cfg, steps_field),
-        batch_size=cfg.batch_size, seed=child_seed(cfg.seed, regime),
-        lr=cfg.lr, finetune_lr=cfg.finetune_lr, warmup_steps=cfg.warmup_steps,
-        log_window=cfg.log_window, hidden=cfg.hidden, time_dim=cfg.time_dim,
-        emb_dim=cfg.emb_dim, activation=cfg.activation, curriculum=cfg.curriculum)
+    tcfg = _train_config(cfg, regime, getattr(cfg, steps_field), seed_key=regime)
     log_rel = f"logs/{regime}.csv"
     result = train(tcfg, topo, datasets, sch, init_params=init_params,
                    log_path=run / log_rel)
@@ -609,14 +581,9 @@ def cmd_ablate(args) -> int:
     rows = []
     for name, value, lam2, n_ref in cells:
         try:
-            tcfg = TrainConfig(
-                lambda1=cfg.lambda1, lambda2=lam2, n_refine=n_ref,
-                regime="finetune", variant=cfg.variant, steps=cfg.finetune_steps,
-                batch_size=cfg.batch_size,
-                seed=child_seed(cfg.seed, f"ablate-{name}-{value}"),
-                lr=cfg.lr, finetune_lr=cfg.finetune_lr,
-                warmup_steps=cfg.warmup_steps, log_window=cfg.log_window,
-                hidden=cfg.hidden, curriculum=cfg.curriculum)
+            tcfg = _train_config(cfg, "finetune", cfg.finetune_steps,
+                                 seed_key=f"ablate-{name}-{value}",
+                                 lambda2=lam2, n_refine=n_ref)
             result = train(tcfg, topo, datasets, sch, init_params=init_params)
             report = metrics.evaluate_checkpoint(
                 result.params, tuples, topo, directions, "direct", sch,

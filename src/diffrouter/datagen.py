@@ -18,7 +18,6 @@ all K domains.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import _blockfile
 
@@ -267,6 +266,8 @@ def _sobel_edges(imgs: np.ndarray) -> np.ndarray:
     """Sobel gradient magnitude / 4 of each (side, side) image in a stack.
     The difference and smoothing filters run along the image axes only, in
     the order `ndimage.sobel` applies them to one image."""
+    from scipy import ndimage  # only the glyph family needs scipy
+
     gx = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=1, mode="constant")
     ndimage.correlate1d(gx, _SOBEL_SMOOTH, axis=2, output=gx, mode="constant")
     gy = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=2, mode="constant")
@@ -278,6 +279,8 @@ def _sobel_edges(imgs: np.ndarray) -> np.ndarray:
 def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0, scale: float = 0.8) -> np.ndarray:
     """Each image of a stack rotated by angle_deg and shrunk by scale about
     its centre: one order-1 transform whose batch axis maps to itself."""
+    from scipy import ndimage
+
     ang = np.deg2rad(angle_deg)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / scale
     center = (GLYPH_SIDE - 1) / 2.0

@@ -6,8 +6,8 @@ Three regimes:
   finetune: starts from a paired-only checkpoint; combines the unpaired
       distillation loss (teacher = frozen copy of the pretrained predictor,
       conditioned on the paired central sample) with a rehearsal paired term.
-  from-scratch: same combined loss, but the reference predictor is a frozen
-      snapshot of the current parameters, refreshed every step.
+  from-scratch: same combined loss, but the reference predictor is the
+      current parameters themselves; each step queries it before its update.
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -308,7 +308,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
     distances = sorted({dist for *_, dist in directions})
     if not cfg.curriculum:
         distances = [None]
-    ref = freeze(params)
+    ref = params if cfg.regime == "from-scratch" else freeze(params)
     step = 0
     for phase, dist in enumerate(distances):
         if dist is None:
@@ -323,8 +323,6 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
             ref = freeze(params)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):
             step += 1
-            if cfg.regime == "from-scratch":
-                ref = freeze(params)
             i, j, _ = phase_dirs[(step - 1) % len(phase_dirs)]
             path = route_path(topo, i, j)
             c = path[1]

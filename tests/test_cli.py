@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,9 +64,17 @@ def test_unknown_key_rejected(tmp_path):
     p.write_text("[train]\nstepz = 5\n")
     with pytest.raises(CliError, match="unknown config key"):
         load_config(str(p))
-    p.write_text("[nonsense]\nx = 1\n")
-    with pytest.raises(CliError, match="unknown config section"):
-        load_config(str(p))
+    for text in ("[nonsense]\nx = 1\n", "[DEFAULT]\nseed = 5\n"):
+        p.write_text(text)
+        with pytest.raises(CliError, match="unknown config section"):
+            load_config(str(p))
+    for text in ("k = 3\n", "[train]\nsteps = 5\nsteps = 6\n", "[train]\n[train]\n"):
+        p.write_text(text)
+        with pytest.raises(CliError, match="malformed config file"):
+            load_config(str(p))
+    # a '%' is a plain character, as run_dir writes it to config.ini
+    p.write_text("[output]\ndir = runs%x\n")
+    assert load_config(str(p)).outdir == "runs%x"
 
 
 def test_override_parsing():
@@ -69,9 +82,32 @@ def test_override_parsing():
     assert cfg.T == 25 and cfg.seed == 9
     with pytest.raises(CliError):
         load_config(None, ["notdotted"])
+    for text, want in (("1", True), ("TRUE", True), ("yes", True),
+                       ("0", False), ("false", False), ("No", False)):
+        assert load_config(None, [f"train.curriculum={text}"]).curriculum is want
+    for text in ("", "on", "2"):
+        with pytest.raises(CliError, match="train.curriculum: expected"):
+            load_config(None, [f"train.curriculum={text}"])
 
 
-def test_validation_errors():
+# each value fails as one error line naming its key, before any run directory
+# is made
+BAD_VALUES = [
+    ("schedule.t=abc", "schedule.t: expected an integer, got 'abc'"),
+    ("network.hidden=16,,16", "network.hidden: expected comma-separated integers"),
+    ("instance.edge_shift=far", "instance.edge_shift: expected a number, got 'far'"),
+    ("train.curriculum=maybe", "train.curriculum: expected one of 1/0/true/false/yes/no"),
+    ("network.hidden=0", "network.hidden widths must be positive, got 0"),
+    ("network.hidden=64,-1", "network.hidden widths must be positive, got 64,-1"),
+    ("network.time_dim=15", "network.time_dim must be even"),
+    ("train.lr=-1", "train.lr must be positive, got -1.0"),
+    ("train.finetune_lr=0", "train.finetune_lr must be positive, got 0.0"),
+    ("train.lr=nan", "train.lr must be positive, got nan"),
+    ("network.activation=tanh", "unknown network.activation 'tanh'"),
+]
+
+
+def test_validation_errors(tmp_path, monkeypatch, capsys):
     with pytest.raises(CliError):
         load_config(None, ["instance.topology=ring"])
     with pytest.raises(CliError):
@@ -79,12 +115,20 @@ def test_validation_errors():
     with pytest.raises(CliError):
         load_config(None, ["schedule.profile=weird"])
     for key in ("train.finetune_steps", "train.scratch_steps", "train.log_window",
-                "eval.n_eval", "eval.projections"):
-        with pytest.raises(CliError, match="must be positive"):
+                "eval.n_eval", "eval.projections", "schedule.t"):
+        with pytest.raises(CliError, match=f"{key} must be positive"):
             load_config(None, [f"{key}=0"])
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    for override, expect in BAD_VALUES:
+        for stage in ("gen-data", "train-paired"):
+            assert main([stage, "--override", override]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: CliError: ") and err.count("\n") == 1, err
+            assert expect in err, err
+    assert not (tmp_path / "runs").exists()
 
 
-def test_config_hash_properties(tmp_path):
+def test_config_hash_properties(tmp_path, monkeypatch):
     a = load_config(None, ["schedule.t=25", "run.seed=9"])
     b = load_config(None, ["run.seed=9", "schedule.t=25"])
     assert config_hash(a) == config_hash(b)
@@ -93,6 +137,28 @@ def test_config_hash_properties(tmp_path):
     assert config_hash(a) == config_hash(c)
     d = load_config(None, ["schedule.t=26", "run.seed=9"])
     assert config_hash(a) != config_hash(d)
+    # the hash and the resolved config.ini of the defaults are those of
+    # earlier versions: checkpoints, datasets and reports carry the hash
+    default = load_config(None)
+    assert default == cli.ExperimentConfig()
+    assert config_hash(default) == "d4d55fdf1bcf"
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    ini = (run_dir(default) / "config.ini").read_bytes()
+    assert len(ini) == 589
+    assert hashlib.sha256(ini).hexdigest() == (
+        "9d6e7e8187c7406782d56d42a0b476e0da55cd3becad2ca545f581e2fa82e1f6")
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only the glyph family needs scipy.ndimage; starting the CLI must not
+    pay for its import."""
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diffrouter.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_child_seed_stable_and_distinct():
