@@ -2,7 +2,8 @@
 sweeps, artifact layout, and deterministic SVG plots.
 
 Every run resolves an INI config, hashes it, and owns
-<outdir>/<config-hash>/{datasets,checkpoints,logs,reports,plots}. Re-running a
+<outdir>/<config-hash>/{datasets,checkpoints,logs,reports,plots}. Only gen-data
+creates that directory; the later stages refuse a config it never ran. Re-running a
 subcommand with the same config and seed reproduces byte-identical CSV and SVG
 outputs. The output root can be overridden with DIFFROUTER_OUTPUT_ROOT.
 """
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
@@ -199,9 +200,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha1("\n".join(parts).encode()).hexdigest()[:12]
 
 
+def run_path(cfg: ExperimentConfig) -> Path:
+    """The run directory of `cfg`, without creating it."""
+    return Path(os.environ.get("DIFFROUTER_OUTPUT_ROOT", cfg.outdir)) / config_hash(cfg)
+
+
 def run_dir(cfg: ExperimentConfig) -> Path:
-    root = os.environ.get("DIFFROUTER_OUTPUT_ROOT", cfg.outdir)
-    run = Path(root) / config_hash(cfg)
+    """The run directory of `cfg`, created with its subdirectories and
+    config.ini when missing."""
+    run = run_path(cfg)
     for sub in SUBDIRS:
         (run / sub).mkdir(parents=True, exist_ok=True)
     cfg_copy = run / "config.ini"
@@ -258,7 +265,8 @@ def _edge_file(a: int, b: int) -> str:
 
 
 def load_run_data(cfg: ExperimentConfig, run: Path):
-    """Load datasets written by gen-data; raises if they are missing."""
+    """Load datasets written by gen-data; raises if they are missing. The
+    reading stages call this before they write anything into `run`."""
     topo = build_instance_topology(cfg)
     datasets = []
     for a, b in topo.edges:
@@ -417,22 +425,22 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# the TrainConfig fields that take the experiment's value of the same name
+_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name in _INI_KEY)
+
+
 def _train_config(cfg: ExperimentConfig, regime: str, steps: int, seed_key: str,
                   **changes) -> TrainConfig:
     """The TrainConfig of one `regime` run of this experiment, seeded from
     `seed_key`; `changes` replace single fields (the ablation cells)."""
-    return replace(TrainConfig(
-        lambda1=cfg.lambda1, lambda2=cfg.lambda2, n_refine=cfg.n_refine,
-        regime=regime, variant=cfg.variant, steps=steps, batch_size=cfg.batch_size,
-        seed=child_seed(cfg.seed, seed_key), lr=cfg.lr, finetune_lr=cfg.finetune_lr,
-        warmup_steps=cfg.warmup_steps, log_window=cfg.log_window, hidden=cfg.hidden,
-        time_dim=cfg.time_dim, emb_dim=cfg.emb_dim, activation=cfg.activation,
-        curriculum=cfg.curriculum), **changes)
+    shared = {name: getattr(cfg, name) for name in _TRAIN_FIELDS}
+    return TrainConfig(**{**shared, "regime": regime, "steps": steps,
+                          "seed": child_seed(cfg.seed, seed_key), **changes})
 
 
 def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     cfg = load_config(args.config, args.override)
-    run = run_dir(cfg)
+    run = run_path(cfg)
     topo, datasets, _tuples, _inst = load_run_data(cfg, run)
     sch = build_schedule(cfg)
     init_params = None
@@ -497,12 +505,14 @@ def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
 
 def cmd_translate(args) -> int:
     cfg = load_config(args.config, args.override)
-    run = run_dir(cfg)
+    run = run_path(cfg)
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
-    params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")
-    sch = build_schedule(cfg)
+    if args.n < 0:
+        raise CliError(f"--n must be >= 0 (0: eval.n_eval), got {args.n}")
     n = args.n or cfg.n_eval
     x_src = tuples.domain(args.src)[:n]
+    params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")
+    sch = build_schedule(cfg)
     req = TranslationRequest(x_src=x_src, src=args.src, tgt=args.tgt,
                              mode=args.mode, steps=args.steps, eta=args.eta,
                              seed=args.seed)
@@ -534,7 +544,7 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.override)
-    run = run_dir(cfg)
+    run = run_path(cfg)
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
     default_ckpt = "direct.ckpt" if args.mode == "direct" else "paired.ckpt"
     params = _load_predictor(run, cfg, args.checkpoint, default_ckpt)
@@ -562,7 +572,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.override)
-    run = run_dir(cfg)
+    run = run_path(cfg)
     topo, datasets, tuples, inst = load_run_data(cfg, run)
     sch = build_schedule(cfg)
     paired_path = run / "checkpoints/paired.ckpt"

@@ -96,6 +96,9 @@ class EvalTuples:
         return self.samples.shape[0]
 
     def domain(self, k: int) -> np.ndarray:
+        K = self.samples.shape[1]
+        if not 0 <= k < K:
+            raise ValueError(f"domain label {k} out of range [0, {K})")
         return self.samples[:, k, :]
 
 

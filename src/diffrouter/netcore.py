@@ -3,10 +3,11 @@
 Parameters are numpy arrays: float64 while training, float32 as loaded from
 a checkpoint. The forward pass computes in the dtype of the weights. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
-between layers (none after the last). `backward` can write its gradients
-into caller-owned arrays, and the optimizer takes lists of arrays: the router
-keeps every parameter, and every gradient, as a view into one flat vector,
-so its step is one AdamW update of one array.
+between layers (none after the last). A network's parameters, its gradients
+and the optimizer's inputs all share one layout: a list of arrays in
+`param_list()` order, layer by layer the weight then the bias. `backward` can
+write its gradients into caller-owned arrays; the router passes views into
+one flat vector, so its optimizer step is one AdamW update of one array.
 """
 
 from dataclasses import dataclass, field
@@ -34,19 +35,6 @@ class DenseNet:
     @property
     def widths(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def param_list(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-@dataclass
-class GradBuffer:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
     def param_list(self) -> list[np.ndarray]:
         out = []
@@ -112,23 +100,24 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNet, cache, output_grad: np.ndarray, out: GradBuffer | None = None):
-    """Backpropagate output_grad; returns (GradBuffer, input_grad). The
-    gradients are written into `out` when it is given (float64 arrays shaped
-    like the parameters), else into new arrays."""
+def backward(net: DenseNet, cache, output_grad: np.ndarray,
+             out: list[np.ndarray] | None = None):
+    """Backpropagate output_grad; returns (gradients, input_grad), the
+    gradients a list in `param_list()` order. They are written into `out`
+    when it is given (float64 arrays shaped like the parameters), else into
+    new arrays."""
     hs, zs, squeeze = cache
     g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
     if g.shape != zs[-1].shape:
         raise ValueError(f"output grad shape {g.shape} != output shape {zs[-1].shape}")
     if out is None:
-        out = GradBuffer(weights=[np.empty(w.shape) for w in net.weights],
-                         biases=[np.empty(b.shape) for b in net.biases])
+        out = [np.empty(p.shape) for p in net.param_list()]
     n_layers = len(net.weights)
     for li in range(n_layers - 1, -1, -1):
         if li < n_layers - 1:
             g = g * _activate_grad(net, zs[li])
-        np.matmul(g.T, hs[li], out=out.weights[li])
-        np.sum(g, axis=0, out=out.biases[li])
+        np.matmul(g.T, hs[li], out=out[2 * li])
+        np.sum(g, axis=0, out=out[2 * li + 1])
         g = g @ net.weights[li]
     gx = g[0] if squeeze else g
     return out, gx
@@ -154,13 +143,10 @@ class OptimizerState:
         return self.lr
 
 
-def optimizer_step(state: OptimizerState, params: list[np.ndarray] | DenseNet,
-                   grads: list[np.ndarray] | GradBuffer) -> None:
-    """One in-place AdamW update. Raises DivergenceError on non-finite grads."""
-    if isinstance(params, DenseNet):
-        params = params.param_list()
-    if isinstance(grads, GradBuffer):
-        grads = grads.param_list()
+def optimizer_step(state: OptimizerState, params: list[np.ndarray],
+                   grads: list[np.ndarray]) -> None:
+    """One in-place AdamW update of each array in `params` by the gradient at
+    the same index. Raises DivergenceError on non-finite grads."""
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]

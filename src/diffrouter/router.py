@@ -11,9 +11,11 @@ for a loaded checkpoint. Noise estimates are returned as float64 either way.
 All parameters live in one contiguous vector, `RouterParams.flat`: the
 backbone weights and biases, layer by layer, then the embedding table, in
 `param_list()` order, which is also the checkpoint block order. The arrays
-the backbone and `domain_emb` expose are views into it, and `RouterGrads`
-keeps a twin gradient vector the same way, so adding, scaling, copying and
-the optimizer step are each one operation on one array.
+the backbone and `domain_emb` expose are views into it. A gradient is a
+float64 vector of the same layout (`RouterGrads.flat`), so adding, scaling
+and the optimizer step are each one operation on one array. A reference
+predictor, such as the finetune teacher, is a RouterParams holding a copy of
+`flat`.
 """
 
 import functools
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _blockfile, netcore
-from .netcore import DenseNet, GradBuffer
+from .netcore import DenseNet
 
 DEFAULT_TIME_DIM = 16
 DEFAULT_EMB_DIM = 8
@@ -48,10 +50,9 @@ class RouterParams:
     flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        arrays = self.param_list()
         if self.flat is None:
-            self.flat = np.concatenate([a.ravel() for a in arrays])
-        arrays = _views(self.flat, [a.shape for a in arrays])
+            self.flat = np.concatenate([a.ravel() for a in self.param_list()])
+        arrays = _param_views(self, self.flat)
         self.backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2],
                                  activation=self.backbone.activation)
         self.domain_emb = arrays[-1]
@@ -69,31 +70,18 @@ class RouterParams:
 
 @dataclass
 class RouterGrads:
-    """Gradients laid out like RouterParams: `net` and `domain_emb` are views
-    into the float64 vector `flat`."""
+    """The float64 gradient of RouterParams.flat, in the same layout;
+    `domain_emb` is a view of its tail. The in-place sum and scale are
+    methods so that perfbench/tracer.py can time them by name."""
 
-    net: GradBuffer
-    domain_emb: np.ndarray
     flat: np.ndarray
-
-    def param_list(self) -> list[np.ndarray]:
-        return self.net.param_list() + [self.domain_emb]
+    domain_emb: np.ndarray
 
     def add_(self, other: "RouterGrads") -> None:
         self.flat += other.flat
 
     def scale_(self, c: float) -> None:
         self.flat *= c
-
-
-@dataclass(frozen=True)
-class FrozenRouter:
-    """Independent copy of RouterParams used as the reference predictor."""
-
-    params: RouterParams
-
-    def __call__(self, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
-        return predict_noise(self.params, x_t, t, x_src, tgt, src)
 
 
 def init_router(data_dim: int, n_domains: int, n_timesteps: int,
@@ -179,37 +167,32 @@ def backward(params: RouterParams, cache, output_grad: np.ndarray) -> RouterGrad
     """Gradients of <output, output_grad> with respect to every parameter;
     the backbone's are written straight into the new gradient vector."""
     net_cache, tgt, src = cache
-    grads = _grads(params, np.empty(params.flat.size))
-    grads.domain_emb[:] = 0.0
-    _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=grads.net)
+    flat = np.empty(params.flat.size)
+    *net_grads, emb_grad = _param_views(params, flat)
+    emb_grad[:] = 0.0
+    _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     gx = np.atleast_2d(gx)
     E = params.emb_dim
     lo = 2 * params.data_dim + params.time_dim
-    grads.domain_emb[tgt] += gx[:, lo:lo + E].sum(axis=0)
-    grads.domain_emb[src] += gx[:, lo + E:lo + 2 * E].sum(axis=0)
-    return grads
+    emb_grad[tgt] += gx[:, lo:lo + E].sum(axis=0)
+    emb_grad[src] += gx[:, lo + E:lo + 2 * E].sum(axis=0)
+    return RouterGrads(flat=flat, domain_emb=emb_grad)
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views into the 1-D `flat`, one per shape."""
+def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views into the 1-D `flat`, shaped like `params.param_list()`."""
     out, lo = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(flat[lo:lo + n].reshape(shape))
-        lo += n
+    for a in params.param_list():
+        out.append(flat[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
     if lo != flat.size:
-        raise ValueError(f"the shapes hold {lo} values, the vector {flat.size}")
+        raise ValueError(f"the parameters hold {lo} values, the vector {flat.size}")
     return out
 
 
-def _grads(params: RouterParams, flat: np.ndarray) -> RouterGrads:
-    arrays = _views(flat, [a.shape for a in params.param_list()])
-    return RouterGrads(net=GradBuffer(weights=arrays[:-1:2], biases=arrays[1:-1:2]),
-                       domain_emb=arrays[-1], flat=flat)
-
-
 def zeros_like_grads(params: RouterParams) -> RouterGrads:
-    return _grads(params, np.zeros(params.flat.size))
+    flat = np.zeros(params.flat.size)
+    return RouterGrads(flat=flat, domain_emb=_param_views(params, flat)[-1])
 
 
 def as_float64(params: RouterParams) -> RouterParams:
@@ -218,9 +201,9 @@ def as_float64(params: RouterParams) -> RouterParams:
     return replace(params, flat=params.flat.astype(np.float64))
 
 
-def freeze(params: RouterParams) -> FrozenRouter:
+def freeze(params: RouterParams) -> RouterParams:
     """A reference predictor holding a copy of params' current values."""
-    return FrozenRouter(params=replace(params, flat=params.flat.copy()))
+    return replace(params, flat=params.flat.copy())
 
 
 def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None) -> None:

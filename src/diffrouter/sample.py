@@ -165,8 +165,6 @@ def translate(predictor, req: TranslationRequest, topo: Topology, sch,
     if req.mode == "direct":
         if not topo.is_edge(req.src, req.tgt):
             kind = getattr(predictor, "kind", None)
-            if kind is None:
-                kind = getattr(getattr(predictor, "params", None), "kind", None)
             if kind is not None and kind != KIND_DIRECT:
                 raise ValueError(
                     "direct translation between non-adjacent domains requires a "

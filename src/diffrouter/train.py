@@ -44,9 +44,6 @@ class TrainConfig:
     seed: int = 0
     lr: float = 1e-4
     finetune_lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.9
-    weight_decay: float = 0.0
     warmup_steps: int = 3000
     log_window: int = 100
     hidden: tuple[int, ...] = (128, 128, 128)
@@ -76,14 +73,15 @@ def _corrupt(x_tgt, x_src, t, eps, sch, variant: str):
 
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
                      sch, rng: np.random.Generator, *, variant: str = "diffusion",
-                     topo: Topology | None = None, predict_fn=None, zeta=None,
-                     compute_grads: bool = True) -> tuple[float, RouterGrads | None]:
+                     topo: Topology | None = None, predict_fn=None, zeta=None
+                     ) -> tuple[float, RouterGrads | None]:
     """One evaluation of the bidirectional paired objective on a batch.
 
     Per example: t ~ U(1, T), eps ~ N(0, I), zeta ~ Bernoulli(0.5); the
     zeta-selected side of the pair is corrupted and only that direction's
     squared noise-prediction error contributes. Returns the mean per-example
-    loss and accumulated gradients (None when compute_grads is False).
+    loss and the gradients of `params`. A `predict_fn` stands in for params
+    and computes no gradients: the second value is then None.
     """
     if topo is not None and not topo.is_edge(*ds.edge):
         raise ValueError(f"dataset edge {ds.edge} is not a topology edge; "
@@ -98,7 +96,7 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     zeta = np.asarray(zeta)
 
     loss = 0.0
-    grads = router_mod.zeros_like_grads(params) if compute_grads else None
+    grads = router_mod.zeros_like_grads(params) if predict_fn is None else None
     for flag, (x_tgt, x_src, tgt, src) in ((1, (xa, xb, ds.edge[0], ds.edge[1])),
                                            (0, (xb, xa, ds.edge[1], ds.edge[0]))):
         mask = zeta == flag
@@ -107,12 +105,11 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
         x_t = _corrupt(x_tgt[mask], x_src[mask], t[mask], eps[mask], sch, variant)
         if predict_fn is not None:
             pred = predict_fn(x_t, t[mask], x_src[mask], tgt, src)
-            cache = None
         else:
             pred, cache = router_mod.forward_cached(params, x_t, t[mask], x_src[mask], tgt, src)
         resid = pred - eps[mask]
         loss += float(np.sum(resid * resid)) / B
-        if compute_grads and cache is not None:
+        if grads is not None:
             grads.add_(router_mod.backward(params, cache, 2.0 * resid / B))
     return loss, grads
 
@@ -139,8 +136,7 @@ def tweedie_refine(ref, x_t_init: np.ndarray, t, x_c: np.ndarray, tgt: int, c: i
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
                        sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
-                       topo: Topology, *, compute_grads: bool = True
-                       ) -> tuple[float, RouterGrads | None]:
+                       topo: Topology) -> tuple[float, RouterGrads]:
     """Distillation step for the direct mapping i -> j.
 
     batch_i / batch_c are aligned pair sides from the (i, c) dataset. The
@@ -164,17 +160,10 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     x_t_j = tweedie_refine(ref, x_t_j, t, batch_c, j, c, cfg.n_refine, sch, rng)
 
     eps_ref = ref(x_t_j, t, batch_c, j, c)
-    if compute_grads:
-        pred, cache = router_mod.forward_cached(params, x_t_j, t, batch_i, j, i)
-    else:
-        pred = params(x_t_j, t, batch_i, j, i)
-        cache = None
+    pred, cache = router_mod.forward_cached(params, x_t_j, t, batch_i, j, i)
     resid = pred - eps_ref
     loss = float(np.sum(resid * resid)) / B
-    grads = None
-    if compute_grads:
-        grads = router_mod.backward(params, cache, 2.0 * resid / B)
-    return loss, grads
+    return loss, router_mod.backward(params, cache, 2.0 * resid / B)
 
 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
@@ -267,8 +256,7 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
 
     lr = cfg.finetune_lr if cfg.regime == "finetune" else cfg.lr
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
-    opt = OptimizerState(lr=lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                         weight_decay=cfg.weight_decay, warmup_steps=warmup)
+    opt = OptimizerState(lr=lr, warmup_steps=warmup)
     log = _WindowLog(cfg.log_window)
 
     if cfg.regime == "paired-only":

@@ -78,7 +78,7 @@ def test_acceptance_1_gradient_correctness(capsys):
         tgt = rng.standard_normal((3, widths[-1]))
         out, cache = forward_cached(net, x)
         grads, _ = backward(net, cache, 2.0 * (out - tgt))
-        for p, g in zip(net.param_list(), grads.param_list()):
+        for p, g in zip(net.param_list(), grads):
             fp, fg = p.reshape(-1), g.reshape(-1)
             for i in range(fp.size):
                 orig = fp[i]

@@ -144,7 +144,7 @@ def test_trained_params_are_views_of_one_vector(small_star, sch100):
     assert params.flat.dtype == np.float64
     assert params.flat.size == sum(a.size for a in arrays)
     assert all(np.shares_memory(a, params.flat) for a in arrays)
-    frozen = freeze(params).params
+    frozen = freeze(params)
     assert not np.shares_memory(frozen.flat, params.flat)
     assert all(np.shares_memory(a, frozen.flat) for a in frozen.param_list())
     before = frozen.flat.copy()

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffrouter import cli
-from diffrouter.cli import (CliError, child_seed, config_hash, load_config,
-                            main, run_dir)
+from diffrouter import cli, router
+from diffrouter.cli import (CliError, ExperimentConfig, child_seed, config_hash,
+                            load_config, main, run_dir)
+from diffrouter.train import TrainConfig
 
 TINY = """\
 [instance]
@@ -244,6 +246,26 @@ def test_pipeline_end_to_end(workspace, capsys):
     assert (run / "checkpoints/scratch.ckpt").exists()
 
 
+READING_STAGES = [["train-paired"], ["finetune-direct"], ["train-scratch"],
+                  ["translate", "--src", "1", "--tgt", "2"], ["eval"],
+                  ["ablate", "lambda2"]]
+
+
+@pytest.mark.parametrize("stage", READING_STAGES, ids=lambda argv: argv[0])
+def test_reading_stage_creates_no_run_directory(workspace, capsys, stage):
+    """Only gen-data creates a run directory: a later stage under a config
+    gen-data never ran fails as one line and leaves nothing behind."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    before = sorted((root / "runs").iterdir())
+    assert main([*stage, "--config", cfg_path, "--override", "eval.n_eval=40"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CliError: missing dataset") and err.count("\n") == 1, err
+    assert "run gen-data first" in err
+    assert sorted((root / "runs").iterdir()) == before
+
+
 def test_training_shorter_than_log_window(workspace):
     """A stage of fewer steps than one log window still logs and plots."""
     root, cfg_path = workspace
@@ -339,6 +361,72 @@ def _one_line_error(capsys, path) -> str:
     assert err.startswith("error: ValueError:") and err.count("\n") == 1, err
     assert str(path) in err, err
     return err
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["--src", "7"], "ValueError: domain label 7 out of range [0, 3)"),
+    (["--src", "-1"], "ValueError: domain label -1 out of range [0, 3)"),  # no wrap-around
+    (["--src", "1", "--n", "-5"], "CliError: --n must be >= 0 (0: eval.n_eval), got -5"),
+])
+def test_translate_refuses_bad_arguments(trained_run, monkeypatch, capsys, argv, expect):
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+    assert main(["translate", "--config", cfg_path, "--tgt", "2", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {expect}\n"
+    reports = root / "runs" / config_hash(load_config(cfg_path)) / "reports"
+    assert not list(reports.glob("translate-*"))
+
+
+# every key TrainConfig shares with ExperimentConfig, at a non-default value
+SHARED_TRAIN_KEYS = {
+    "schedule.variant": "bridge", "network.hidden": (8, 4), "network.time_dim": 4,
+    "network.emb_dim": 2, "network.activation": "identity", "train.steps": 11,
+    "train.batch_size": 16, "train.lr": 2e-3, "train.finetune_lr": 1e-3,
+    "train.warmup_steps": 7, "train.lambda1": 0.5, "train.lambda2": 2.0,
+    "train.n_refine": 2, "train.log_window": 3, "train.curriculum": False,
+    "run.seed": 5,
+}
+
+
+def test_train_config_takes_every_shared_key(workspace, monkeypatch):
+    """Each training stage and each ablate cell trains with the run's value of
+    every key TrainConfig shares with the experiment config."""
+    root, cfg_path = workspace
+    shared = ({f.name for f in fields(TrainConfig)}
+              & {f.name for f in fields(ExperimentConfig)})
+    assert {cli._key_name(name) for name in shared} == set(SHARED_TRAIN_KEYS)
+    flags = ["--config", cfg_path]
+    for key, value in SHARED_TRAIN_KEYS.items():
+        flags += ["--override", f"{key}={cli._ini_text(value)}"]
+    cfg = load_config(cfg_path, flags[3::2])
+    for name in shared:
+        assert getattr(cfg, name) == SHARED_TRAIN_KEYS[cli._key_name(name)]
+        assert getattr(cfg, name) != getattr(ExperimentConfig(), name), name
+
+    built = []
+
+    def capture(tcfg, *args, **kwargs):
+        built.append(tcfg)
+        raise ValueError("not trained")
+
+    monkeypatch.setattr(cli, "train", capture)
+    assert main(["gen-data", *flags]) == 0
+    params = router.init_router(cfg.d, cfg.K, cfg.T, [8], np.random.default_rng(0))
+    router.save_checkpoint(_run(root, cfg) / "checkpoints/paired.ckpt", params)
+    for stage in ("train-paired", "finetune-direct", "train-scratch"):
+        assert main([stage, *flags]) == 1
+    assert main(["ablate", "lambda2", *flags]) == 0  # the failed cells are reported
+    expect = [("paired-only", cfg.steps, "paired-only", {}),
+              ("finetune", cfg.finetune_steps, "finetune", {}),
+              ("from-scratch", cfg.scratch_steps, "from-scratch", {})]
+    expect += [("finetune", cfg.finetune_steps, f"ablate-lambda2-{lam}",
+                {"lambda2": lam, "n_refine": 0}) for lam in cli.LAMBDA2_SWEEP]
+    assert len(built) == len(expect)
+    for tcfg, (regime, steps, seed_key, cell) in zip(built, expect):
+        assert (tcfg.regime, tcfg.steps) == (regime, steps)
+        assert tcfg.seed == child_seed(cfg.seed, seed_key)
+        for name in shared - {"steps", "seed"}:
+            assert getattr(tcfg, name) == cell.get(name, getattr(cfg, name)), name
 
 
 @pytest.mark.parametrize("damage, expect", [

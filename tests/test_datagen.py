@@ -175,6 +175,14 @@ def test_eval_tuples_not_accepted_by_training(small_star, sch100, rng):
         paired_loss_step(params, tuples, np.arange(4), sch100, rng)
 
 
+def test_eval_tuples_domain_refuses_unknown_label(small_star):
+    _, _, tuples, _ = small_star
+    assert tuples.domain(2).shape == (len(tuples), 2)
+    for k in (3, -1):  # -1 would wrap around to the last domain
+        with pytest.raises(ValueError, match=rf"domain label {k} out of range \[0, 3\)"):
+            tuples.domain(k)
+
+
 def test_dataset_roundtrip(tmp_path, small_star):
     _, datasets, tuples, _ = small_star
     p = tmp_path / "d.bin"

@@ -53,7 +53,7 @@ def test_backward_zero_output_grad(rng):
     net = init_dense([4, 6, 3], rng)
     _, cache = forward_cached(net, rng.standard_normal((2, 4)))
     grads, gx = backward(net, cache, np.zeros((2, 3)))
-    assert all(np.all(g == 0) for g in grads.param_list())
+    assert all(np.all(g == 0) for g in grads)
     assert np.all(gx == 0)
 
 
@@ -67,8 +67,8 @@ def test_backward_linear_mse_analytic(rng):
     out, cache = forward_cached(net, x)
     resid = out - y
     grads, _ = backward(net, cache, 2.0 * resid)
-    assert np.allclose(grads.weights[0], 2.0 * np.outer(resid, x), atol=1e-12)
-    assert np.allclose(grads.biases[0], 2.0 * resid, atol=1e-12)
+    assert np.allclose(grads[0], 2.0 * np.outer(resid, x), atol=1e-12)
+    assert np.allclose(grads[1], 2.0 * resid, atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -88,7 +88,7 @@ def test_gradients_match_finite_differences():
 
         out, cache = forward_cached(net, x)
         grads, _ = backward(net, cache, 2.0 * (out - tgt))
-        for p, g in zip(net.param_list(), grads.param_list()):
+        for p, g in zip(net.param_list(), grads):
             flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             for i in range(flat_p.size):
                 orig = flat_p[i]
@@ -106,7 +106,7 @@ def test_optimizer_noop_on_zero_grads(rng):
     net = init_dense([3, 3], rng)
     before = [p.copy() for p in net.param_list()]
     state = OptimizerState(lr=1e-2, weight_decay=0.0)
-    optimizer_step(state, net, [np.zeros_like(p) for p in net.param_list()])
+    optimizer_step(state, net.param_list(), [np.zeros_like(p) for p in net.param_list()])
     for p, q in zip(net.param_list(), before):
         assert np.array_equal(p, q)
 
@@ -139,7 +139,7 @@ def test_divergence_error_on_nonfinite_grads(rng):
     net = init_dense([3, 3], rng)
     bad = [np.full_like(p, np.nan) for p in net.param_list()]
     with pytest.raises(DivergenceError):
-        optimizer_step(OptimizerState(lr=1e-3), net, bad)
+        optimizer_step(OptimizerState(lr=1e-3), net.param_list(), bad)
 
 
 def test_training_determinism():
@@ -152,7 +152,7 @@ def test_training_determinism():
         for _ in range(50):
             out, cache = forward_cached(net, x)
             grads, _ = backward(net, cache, 2.0 * (out - y) / 16)
-            optimizer_step(state, net, grads)
+            optimizer_step(state, net.param_list(), grads)
         return [p.copy() for p in net.param_list()]
 
     for a, b in zip(run(), run()):
@@ -172,7 +172,7 @@ def test_convex_probe_monotone_after_warmup():
         out, cache = forward_cached(net, x)
         losses.append(float(np.mean((out - y) ** 2)))
         grads, _ = backward(net, cache, 2.0 * (out - y) / 64)
-        optimizer_step(state, net, grads)
+        optimizer_step(state, net.param_list(), grads)
     windows = [np.mean(losses[i:i + 10]) for i in range(20, 220, 10)]
     assert all(b < a for a, b in zip(windows, windows[1:]))
 

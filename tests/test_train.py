@@ -48,7 +48,7 @@ def test_paired_loss_zero_for_perfect_predictor(setup, sch100):
 
     loss, grads = paired_loss_step(params, ds, idx, sch100,
                                    np.random.default_rng(77), zeta=zeta,
-                                   predict_fn=perfect, compute_grads=False)
+                                   predict_fn=perfect)
     assert loss == 0.0 and grads is None
 
 
@@ -62,8 +62,7 @@ def test_paired_loss_zeta_selects_direction(setup, sch100, rng):
         return np.zeros_like(x_t)
 
     paired_loss_step(params, ds, np.arange(16), sch100, rng,
-                     zeta=np.ones(16, dtype=int), predict_fn=spy,
-                     compute_grads=False)
+                     zeta=np.ones(16, dtype=int), predict_fn=spy)
     assert seen == [(ds.edge[0], ds.edge[1])]  # only the zeta=1 direction
 
 
@@ -75,9 +74,9 @@ def test_paired_loss_zero_predictor_near_d(setup, sch100):
     losses = []
     for _ in range(40):
         idx = rng.integers(0, len(ds), size=256)
-        loss, _ = paired_loss_step(params, ds, idx, sch100, rng,
-                                   predict_fn=lambda *a: np.zeros((np.atleast_2d(a[0]).shape[0], 2)),
-                                   compute_grads=False)
+        loss, _ = paired_loss_step(
+            params, ds, idx, sch100, rng,
+            predict_fn=lambda *a: np.zeros((np.atleast_2d(a[0]).shape[0], 2)))
         losses.append(loss)
     assert abs(np.mean(losses) - 2.0) < 0.1
 
@@ -104,7 +103,7 @@ def test_zeta_fraction_balanced(setup, sch100):
     n_steps, B = 80, 128
     for _ in range(n_steps):
         paired_loss_step(params, ds, rng.integers(0, len(ds), B), sch100, rng,
-                         predict_fn=spy, compute_grads=False)
+                         predict_fn=spy)
     frac = sizes[0::2] # zeta=1 sub-batches come first in each step
     frac = np.sum(frac) / (n_steps * B)
     sigma = 0.5 / np.sqrt(n_steps * B)
@@ -136,7 +135,7 @@ def test_bridge_corruption_used(setup, rng):
 
     paired_loss_step(params, datasets[0], np.arange(8), sch, FixedT(rng),
                      variant="bridge", zeta=np.ones(8, dtype=int),
-                     predict_fn=spy, compute_grads=False)
+                     predict_fn=spy)
     assert np.allclose(seen["x_t"], seen["x_src"])  # alpha_T=0, beta_T=1, sigma_T=0
 
 
@@ -196,7 +195,7 @@ def test_gradient_isolation_of_reference(setup, sch100, rng):
     from diffrouter.netcore import OptimizerState, optimizer_step
     topo, datasets, tuples, inst, params = setup
     ref = freeze(params)
-    ref_before = [p.copy() for p in ref.params.param_list()]
+    ref_before = [p.copy() for p in ref.param_list()]
     cfg = TrainConfig(regime="finetune", n_refine=1, batch_size=16)
     ds = datasets[0]
     opt = OptimizerState(lr=1e-2)
@@ -204,8 +203,8 @@ def test_gradient_isolation_of_reference(setup, sch100, rng):
         loss, grads = unpaired_loss_step(params, ref, ds.x_a[:16], ds.x_b[:16],
                                          1, 0, 2, datasets[1].side(2), sch100,
                                          cfg, rng, topo)
-        optimizer_step(opt, params.param_list(), grads.param_list())
-    for p, q in zip(ref.params.param_list(), ref_before):
+        optimizer_step(opt, [params.flat], [grads.flat])
+    for p, q in zip(ref.param_list(), ref_before):
         assert np.array_equal(p, q)
     # the student did move
     assert any(not np.array_equal(p, q)
