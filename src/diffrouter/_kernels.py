@@ -1,8 +1,9 @@
 """Hot numeric kernels, in numpy.
 
-The kernels compute in the dtype of their inputs (float64 in training,
-float32 for checkpoint inference) and reuse one work array through `out=`
-ufuncs. Their float64 results are bit-identical to the plain expressions
+The kernels compute in the dtype of their inputs (float32 for the dense
+layers of training and inference, float64 for AdamW on the master vector and
+for the gradient checks) and reuse one work array through `out=` ufuncs.
+Their float64 results are bit-identical to the plain expressions
 `h @ w.T + b`, `z * (1 / (1 + exp(-z)))` and `s * (1 + z * (1 - s))`. The
 MMD sums expand squared distances as ||a||^2 + ||b||^2 - 2 a.b^T, so they
 agree with the direct double sums to rounding.

@@ -191,6 +191,14 @@ def _validate(cfg: ExperimentConfig) -> None:
                        f"got {cfg.time_dim}")
     if cfg.n_refine < 0 or cfg.lambda1 < 0 or cfg.lambda2 < 0:
         raise CliError("n_refine and loss coefficients must be nonnegative")
+    _check_eta("schedule.eta", cfg.eta)
+
+
+def _check_eta(name: str, eta: float) -> None:
+    """A negative eta would make the reverse step's noise std negative: the
+    step then adds no noise but shrinks its eps coefficient as if it did."""
+    if not (np.isfinite(eta) and eta >= 0.0):
+        raise CliError(f"{name} must be finite and nonnegative, got {eta}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -509,6 +517,7 @@ def cmd_translate(args) -> int:
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
     if args.n < 0:
         raise CliError(f"--n must be >= 0 (0: eval.n_eval), got {args.n}")
+    _check_eta("--eta", args.eta)
     n = args.n or cfg.n_eval
     x_src = tuples.domain(args.src)[:n]
     params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")

@@ -416,9 +416,17 @@ def partial_correlation(xi: np.ndarray, xj: np.ndarray, xc: np.ndarray) -> float
     return float(np.max(np.abs(corr[:di, di:])))
 
 
+def _check_latent_indices(path, indices: np.ndarray) -> None:
+    """Blocks are float32, which holds every integer below 2**24 exactly."""
+    if np.size(indices) and np.max(indices) >= 2**24:
+        raise ValueError(f"{path}: latent index {int(np.max(indices))} is not below "
+                         "2**24, the largest a float32 block stores exactly")
+
+
 def save_paired_dataset(path, ds: PairedDataset, meta: dict) -> None:
     """Dataset file in the `_blockfile` format: edge, n and d, then the meta
     keys sorted; blocks x_a, x_b and the latent indices."""
+    _check_latent_indices(path, ds.latent_indices)
     header = {"edge": f"{ds.edge[0]},{ds.edge[1]}", "n": len(ds), "d": ds.x_a.shape[1],
               **dict(sorted(meta.items()))}
     _blockfile.write_blocks(path, DATASET_MAGIC, header,
@@ -439,6 +447,7 @@ def load_paired_dataset(path) -> PairedDataset:
 def save_eval_tuples(path, tuples: EvalTuples, meta: dict) -> None:
     """Eval file in the `_blockfile` format: m, k and d, then the meta keys
     sorted; blocks the (M, K, d) samples and the latent indices."""
+    _check_latent_indices(path, tuples.latent_indices)
     M, K, d = tuples.samples.shape
     header = {"m": M, "k": K, "d": d, **dict(sorted(meta.items()))}
     _blockfile.write_blocks(path, DATASET_MAGIC, header,

@@ -1,7 +1,9 @@
 """Minimal dense-network core: forward, reverse-mode gradients, AdamW.
 
-Parameters are numpy arrays: float64 while training, float32 as loaded from
-a checkpoint. The forward pass computes in the dtype of the weights. Weights
+Parameters are numpy arrays of one dtype: float32 for a training step's
+compute copy and for a loaded checkpoint, float64 for the master vector that
+AdamW updates. The forward and backward passes compute in the dtype of the
+weights; AdamW works in the dtype of its parameters. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
 between layers (none after the last). A network's parameters, its gradients
 and the optimizer's inputs all share one layout: a list of arrays in
@@ -104,14 +106,14 @@ def backward(net: DenseNet, cache, output_grad: np.ndarray,
              out: list[np.ndarray] | None = None):
     """Backpropagate output_grad; returns (gradients, input_grad), the
     gradients a list in `param_list()` order. They are written into `out`
-    when it is given (float64 arrays shaped like the parameters), else into
-    new arrays."""
+    when it is given (arrays shaped like the parameters, of their dtype),
+    else into new arrays. output_grad is cast once to the weights' dtype."""
     hs, zs, squeeze = cache
-    g = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(output_grad, dtype=net.weights[0].dtype))
     if g.shape != zs[-1].shape:
         raise ValueError(f"output grad shape {g.shape} != output shape {zs[-1].shape}")
     if out is None:
-        out = [np.empty(p.shape) for p in net.param_list()]
+        out = [np.empty_like(p) for p in net.param_list()]
     n_layers = len(net.weights)
     for li in range(n_layers - 1, -1, -1):
         if li < n_layers - 1:

@@ -5,14 +5,16 @@ The backbone consumes the concatenation
 noise estimate. One parameter set serves every (src, tgt) direction; the
 domain embedding table is trained jointly with the backbone.
 
-The backbone runs in the dtype of its weights: float64 in training, float32
-for a loaded checkpoint. Noise estimates are returned as float64 either way.
+The backbone runs in the dtype of its weights. Training keeps a float64
+master copy and runs each step on a float32 cast of it (see train.py); a
+loaded checkpoint runs at the float32 it stores. Noise estimates are returned
+as float64 either way.
 
 All parameters live in one contiguous vector, `RouterParams.flat`: the
 backbone weights and biases, layer by layer, then the embedding table, in
 `param_list()` order, which is also the checkpoint block order. The arrays
 the backbone and `domain_emb` expose are views into it. A gradient is a
-float64 vector of the same layout (`RouterGrads.flat`), so adding, scaling
+vector of the same layout and dtype (`RouterGrads.flat`), so adding, scaling
 and the optimizer step are each one operation on one array. A reference
 predictor, such as the finetune teacher, is a RouterParams holding a copy of
 `flat`.
@@ -70,7 +72,7 @@ class RouterParams:
 
 @dataclass
 class RouterGrads:
-    """The float64 gradient of RouterParams.flat, in the same layout;
+    """The gradient of RouterParams.flat, in its layout and dtype;
     `domain_emb` is a view of its tail. The in-place sum and scale are
     methods so that perfbench/tracer.py can time them by name."""
 
@@ -167,7 +169,7 @@ def backward(params: RouterParams, cache, output_grad: np.ndarray) -> RouterGrad
     """Gradients of <output, output_grad> with respect to every parameter;
     the backbone's are written straight into the new gradient vector."""
     net_cache, tgt, src = cache
-    flat = np.empty(params.flat.size)
+    flat = np.empty_like(params.flat)
     *net_grads, emb_grad = _param_views(params, flat)
     emb_grad[:] = 0.0
     _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
@@ -191,7 +193,7 @@ def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:
 
 
 def zeros_like_grads(params: RouterParams) -> RouterGrads:
-    flat = np.zeros(params.flat.size)
+    flat = np.zeros_like(params.flat)
     return RouterGrads(flat=flat, domain_emb=_param_views(params, flat)[-1])
 
 

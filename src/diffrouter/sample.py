@@ -42,11 +42,15 @@ class TranslationResult:
     total_steps: int = 0
 
 
-def route_path(topo: Topology, src: int, tgt: int) -> list[int]:
-    """Unique simple path from src to tgt in the spanning tree."""
-    for lbl in (src, tgt):
+def _check_labels(topo: Topology, *labels: int) -> None:
+    for lbl in labels:
         if not 0 <= lbl < topo.K:
             raise ValueError(f"domain label {lbl} out of range [0, {topo.K})")
+
+
+def route_path(topo: Topology, src: int, tgt: int) -> list[int]:
+    """Unique simple path from src to tgt in the spanning tree."""
+    _check_labels(topo, src, tgt)
     if src == tgt:
         return [src]
     adj = topo.adjacency()
@@ -162,6 +166,7 @@ def translate(predictor, req: TranslationRequest, topo: Topology, sch,
     """Run the requested translation; see module docstring for the two modes."""
     rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, req.tgt]))
     chain = sample_chain_diffusion if variant == "diffusion" else sample_chain_bridge
+    _check_labels(topo, req.src, req.tgt)
     if req.mode == "direct":
         if not topo.is_edge(req.src, req.tgt):
             kind = getattr(predictor, "kind", None)

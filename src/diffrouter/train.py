@@ -4,10 +4,16 @@ Three regimes:
   paired-only: the bidirectional noise-matching loss on tree-edge pairs,
       giving the indirect translator (iDR in the report CSVs: mode=indirect).
   finetune: starts from a paired-only checkpoint; combines the unpaired
-      distillation loss (teacher = frozen copy of the pretrained predictor,
-      conditioned on the paired central sample) with a rehearsal paired term.
+      distillation loss (teacher = frozen float32 copy of the pretrained
+      predictor, conditioned on the paired central sample) with a rehearsal
+      paired term.
   from-scratch: same combined loss, but the reference predictor is the
       current parameters themselves; each step queries it before its update.
+
+Training keeps a float64 master vector (`RouterParams.flat`) and float64
+AdamW state, and computes in float32: after each update the master vector is
+cast once into a float32 compute copy, whose forward and backward passes give
+a float32 gradient that is widened once for the AdamW step.
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -17,7 +23,7 @@ population before the teacher is queried.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -258,11 +264,12 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
     opt = OptimizerState(lr=lr, warmup_steps=warmup)
     log = _WindowLog(cfg.log_window)
+    work = replace(params, flat=params.flat.astype(np.float32))
 
     if cfg.regime == "paired-only":
-        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log)
+        _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log)
     else:
-        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
+        _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log)
     if log.acc:  # the trailing partial window
         log.flush(cfg.steps, opt.effective_lr())
 
@@ -275,28 +282,35 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     return TrainResult(params=params, log_rows=log.rows)
 
 
-def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
+def _update(opt, params: RouterParams, work: RouterParams, grads: RouterGrads) -> None:
+    """AdamW on the float64 master vector by the widened float32 gradient,
+    then the step's one cast of the new values into the compute copy."""
+    optimizer_step(opt, [params.flat], [grads.flat.astype(np.float64)])
+    np.copyto(work.flat, params.flat)
+
+
+def _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log):
     for step in range(1, cfg.steps + 1):
         ds = datasets[(step - 1) % len(datasets)]
         idx = rng.integers(0, len(ds), size=cfg.batch_size)
-        loss, grads = paired_loss_step(params, ds, idx, sch, rng,
+        loss, grads = paired_loss_step(work, ds, idx, sch, rng,
                                        variant=cfg.variant, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
-        optimizer_step(opt, [params.flat], [grads.flat])
+        _update(opt, params, work, grads)
         log.push(f"paired:{ds.edge[0]}-{ds.edge[1]}", loss)
         if step % cfg.log_window == 0:
             log.flush(step, opt.effective_lr())
 
 
-def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
+def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
     directions = _unpaired_directions(topo)
     if not directions:
         raise ValueError("topology has no non-edge pairs to finetune")
     distances = sorted({dist for *_, dist in directions})
     if not cfg.curriculum:
         distances = [None]
-    ref = params if cfg.regime == "from-scratch" else freeze(params)
+    ref = work if cfg.regime == "from-scratch" else freeze(work)
     step = 0
     for phase, dist in enumerate(distances):
         if dist is None:
@@ -308,7 +322,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
             if phase == len(distances) - 1:
                 phase_steps = cfg.steps - step
         if phase > 0 and cfg.regime == "finetune":
-            ref = freeze(params)  # distance-(h-1) directs teach the next phase
+            ref = freeze(work)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):
             step += 1
             i, j, _ = phase_dirs[(step - 1) % len(phase_dirs)]
@@ -319,11 +333,11 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
             idx = rng.integers(0, len(ds_ic), size=cfg.batch_size)
             unpaired = (ds_ic.side(i)[idx], ds_ic.side(c)[idx], i, c, j, ds_j.side(j))
             paired_ds = datasets[(step - 1) % len(datasets)]
-            total, l_u, l_p, grads = final_loss_step(params, ref, paired_ds,
+            total, l_u, l_p, grads = final_loss_step(work, ref, paired_ds,
                                                      unpaired, cfg, sch, rng, topo)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
-            optimizer_step(opt, [params.flat], [grads.flat])
+            _update(opt, params, work, grads)
             log.push(f"unpaired:{i}->{j}", l_u)
             if cfg.lambda2 > 0.0:
                 log.push(f"paired:{paired_ds.edge[0]}-{paired_ds.edge[1]}", l_p)

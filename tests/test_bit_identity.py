@@ -2,10 +2,13 @@
 the numerics: the flat parameter vector with its one AdamW update, the batched
 glyph views and the time-feature table.
 
-The sha256 pins were produced by the per-array, per-row implementation these
-replaced (x86-64, numpy 2.4 with its bundled OpenBLAS). Another BLAS build may
+The dataset pins were produced by the per-row implementation the batched
+glyph views replaced. The checkpoint and loss-log pins come from training in
+float32 over the float64 master vector, which changed the trained weights on
+purpose; two fresh runs gave the same bytes before they were pinned. All were
+made on x86-64 with numpy 2.4 and its bundled OpenBLAS. Another BLAS build may
 round the dense layers differently; there, regenerate the pins from a checkout
-of the earlier code before trusting a difference.
+of the pinning code before trusting a difference.
 """
 
 import hashlib
@@ -38,11 +41,11 @@ RUNS = {
 PINS = {
     "gaussian-star": {
         "checkpoints/direct.ckpt":
-            "2b9cc275c4ec03faee0315208371e411b235d9cdb0ad057f555381ea66614f1b",
+            "e00bab1e4ecebffc04df23075e6283d8a83b5347c3ef41372a6ae16879a5fd3e",
         "checkpoints/paired.ckpt":
-            "031075487423d72a60527c18b12cf43a5a9182130421939316d146bcc0368278",
+            "efc0c85b23d33c439f407397218ce7436e094f60bb471ce087947fc6945e149a",
         "checkpoints/scratch.ckpt":
-            "b35a4b6024acc714e9c3419e7d326f5980efabf67df8600c1f2c5432033b72c2",
+            "b78c8dc0bec34a57fcb821d83f44d3237f0f3a14539b60d7dbf9b72113eac6a8",
         "datasets/edge_1-0.bin":
             "9909778e0630eb33a429dc6a2ab72904f77d37d581db2d6bd81c57cb7ed443d7",
         "datasets/edge_2-0.bin":
@@ -50,7 +53,7 @@ PINS = {
         "datasets/eval.bin":
             "f8a957d3c1b7a1c77ce16a7525474393fa62595d8a5185681c121465753573db",
         "logs/finetune.csv":
-            "f7a4214f91b777039648b3a7b5526b3b08115313662fee5030021b0b65f5311b",
+            "057ef89bf9474a883c2eb303ea03e0303a16b5fd39d57aa6c5e9df9c8ce831f6",
         "logs/from-scratch.csv":
             "60497ca959b6235be6cc07566a6bee88c30f4c49b05d804e7643c9e51a70ced0",
         "logs/paired-only.csv":
@@ -58,11 +61,11 @@ PINS = {
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
-            "7cdef3324b5fe570a85247c4655c5d15c78acbe55612d20748918441896cbe74",
+            "fb26998fd0e87b1195180910836fe9b3408ad7f82fb9288392fea7cceb1124f2",
         "checkpoints/paired.ckpt":
-            "10308a5ff83e6fcb5c8bf0beaff955a15715af504538045104c2c6cb139d76b6",
+            "2c1c7db35167bae981dd0d44c65e3f0a0561fbcd603ce340001322bfe0f1f7db",
         "checkpoints/scratch.ckpt":
-            "680df9ee6fb41acee56c247e5d335ad46dea9cac7a367d8673651554720be17f",
+            "819d7ebc380a89715b4ee22c1e7aa835a8ecc220d2c17620b5bd1342c1c0282d",
         "datasets/edge_1-0.bin":
             "4922318caaf612e283163772907bbbc2b24a398a7ffbf08788d468d589fbceab",
         "datasets/edge_2-0.bin":

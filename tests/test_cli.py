@@ -106,6 +106,9 @@ BAD_VALUES = [
     ("train.finetune_lr=0", "train.finetune_lr must be positive, got 0.0"),
     ("train.lr=nan", "train.lr must be positive, got nan"),
     ("network.activation=tanh", "unknown network.activation 'tanh'"),
+    ("schedule.eta=-1", "schedule.eta must be finite and nonnegative, got -1.0"),
+    ("schedule.eta=inf", "schedule.eta must be finite and nonnegative, got inf"),
+    ("schedule.eta=nan", "schedule.eta must be finite and nonnegative, got nan"),
 ]
 
 
@@ -367,6 +370,11 @@ def _one_line_error(capsys, path) -> str:
     (["--src", "7"], "ValueError: domain label 7 out of range [0, 3)"),
     (["--src", "-1"], "ValueError: domain label -1 out of range [0, 3)"),  # no wrap-around
     (["--src", "1", "--n", "-5"], "CliError: --n must be >= 0 (0: eval.n_eval), got -5"),
+    (["--src", "1", "--eta", "-0.5"], "CliError: --eta must be finite and nonnegative, got -0.5"),
+    (["--src", "1", "--eta", "nan"], "CliError: --eta must be finite and nonnegative, got nan"),
+    # the label is checked before the direct mode's checkpoint-kind check
+    (["--src", "1", "--tgt", "7", "--mode", "direct"],
+     "ValueError: domain label 7 out of range [0, 3)"),
 ])
 def test_translate_refuses_bad_arguments(trained_run, monkeypatch, capsys, argv, expect):
     root, cfg_path = trained_run

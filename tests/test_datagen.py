@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,29 @@ def test_dataset_roundtrip(tmp_path, small_star):
     save_eval_tuples(q, tuples, {})
     back_t = load_eval_tuples(q)
     assert np.allclose(back_t.samples, tuples.samples, atol=1e-6)
+
+
+def test_save_refuses_latent_index_float32_cannot_hold(tmp_path):
+    """Latent indices are stored as float32, exact only below 2**24."""
+    x = np.zeros((2, 2))
+    edge = tmp_path / "edge.bin"
+    ok = datagen.PairedDataset(edge=(1, 0), x_a=x, x_b=x,
+                               latent_indices=np.array([0, 2**24 - 1]))
+    save_paired_dataset(edge, ok, {})
+    assert np.array_equal(load_paired_dataset(edge).latent_indices, [0, 2**24 - 1])
+    edge.unlink()
+    big = datagen.PairedDataset(edge=(1, 0), x_a=x, x_b=x,
+                                latent_indices=np.array([0, 2**24]))
+    with pytest.raises(ValueError, match=re.escape(f"{edge}: latent index 16777216 "
+                                                   "is not below 2**24")):
+        save_paired_dataset(edge, big, {})
+    assert not edge.exists()
+    evals = tmp_path / "eval.bin"
+    tuples = datagen.EvalTuples(samples=np.zeros((2, 3, 2)),
+                                latent_indices=np.array([2**24 + 5, 1]))
+    with pytest.raises(ValueError, match=re.escape(f"{evals}: latent index 16777221")):
+        save_eval_tuples(evals, tuples, {})
+    assert not evals.exists()
 
 
 def test_dataset_bad_magic(tmp_path):

@@ -1,11 +1,13 @@
 import csv
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diffrouter import datagen, router
+from diffrouter import datagen, netcore, router
 from diffrouter.datagen import OracleScorePredictor
-from diffrouter.netcore import DivergenceError
+from diffrouter.netcore import DivergenceError, optimizer_step
 from diffrouter.router import freeze, init_router
 from diffrouter.schedules import build_bridge_schedule, build_diffusion_schedule
 from diffrouter.train import (TrainConfig, final_loss_step, paired_loss_step,
@@ -268,6 +270,50 @@ def test_train_from_loaded_checkpoint_is_float64(setup, sch100, tmp_path):
     for p, q in zip(a.params.param_list(), b.params.param_list()):
         assert p.dtype == np.float64 and np.array_equal(p, q)
     assert all(p.dtype == np.float32 for p in loaded.param_list())
+
+
+def test_training_computes_in_float32_over_float64_master(setup, sch100, rng, monkeypatch):
+    """A float32 fwd+bwd gives the float64 gradient to a relative 1e-4;
+    train() keeps the master vector and the AdamW state in float64, widens
+    each gradient for the update and distils from a float32 teacher."""
+    topo, datasets, *_, params = setup
+    narrow = replace(params, flat=params.flat.astype(np.float32))
+    x_t, x_src = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    t = rng.integers(1, 101, size=64)
+    g_out = rng.standard_normal((64, 2)) / 64
+    grads = []
+    for p in (params, narrow):
+        _, cache = router.forward_cached(p, x_t, t, x_src, 1, 0)
+        grads.append(router.backward(p, cache, g_out).flat)
+    wide, low = grads
+    assert wide.dtype == np.float64 and low.dtype == np.float32
+    assert np.linalg.norm(low - wide) <= 1e-4 * np.linalg.norm(wide)
+    net_grads, gx = netcore.backward(narrow.backbone, cache[0], g_out)
+    assert {a.dtype for a in net_grads} == {gx.dtype} == {np.dtype(np.float32)}
+
+    states, teachers = [], []
+
+    def spy_step(state, ps, gs):
+        assert [a.dtype for a in ps + gs] == [np.float64, np.float64]
+        states.append(state)
+        optimizer_step(state, ps, gs)
+
+    def spy_freeze(p):
+        teachers.append(freeze(p))
+        return teachers[-1]
+
+    train_mod = importlib.import_module("diffrouter.train")  # the package exports train()
+    monkeypatch.setattr(train_mod, "optimizer_step", spy_step)
+    monkeypatch.setattr(train_mod, "freeze", spy_freeze)
+    cfg = TrainConfig(regime="finetune", steps=10, batch_size=16, seed=4,
+                      n_refine=1, hidden=(16, 16))
+    result = train(cfg, topo, datasets, sch100, init_params=params)
+    assert result.params.flat.dtype == np.float64
+    assert len(states) == 10 and all(state is states[0] for state in states)
+    opt = states[0]
+    assert opt.step == 10 and [a.dtype for a in opt.m + opt.v] == [np.float64] * 2
+    assert teachers and all(p.dtype == np.float32 for p in teachers[0].param_list())
+    assert np.array_equal(teachers[0].flat, params.flat.astype(np.float32))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
