@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -27,8 +27,8 @@ from . import router as router_mod
 from .datagen import FAMILIES
 from .netcore import ACTIVATIONS, DivergenceError
 from .sample import TranslationRequest, translate
-from .schedules import PROFILES, build_bridge_schedule, build_diffusion_schedule
-from .train import VARIANTS, TrainConfig, train
+from .schedules import PROFILES, VARIANTS, build_bridge_schedule, build_diffusion_schedule
+from .train import TrainConfig, train
 
 SUBDIRS = ("datasets", "checkpoints", "logs", "reports", "plots")
 
@@ -195,8 +195,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _check_eta(name: str, eta: float) -> None:
-    """A negative eta would make the reverse step's noise std negative: the
-    step then adds no noise but shrinks its eps coefficient as if it did."""
+    """The schedules refuse such an eta too; this names the key or flag."""
     if not (np.isfinite(eta) and eta >= 0.0):
         raise CliError(f"{name} must be finite and nonnegative, got {eta}")
 
@@ -517,15 +516,15 @@ def cmd_translate(args) -> int:
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
     if args.n < 0:
         raise CliError(f"--n must be >= 0 (0: eval.n_eval), got {args.n}")
-    _check_eta("--eta", args.eta)
+    eta = cfg.eta if args.eta is None else args.eta
+    _check_eta("--eta", eta)
     n = args.n or cfg.n_eval
     x_src = tuples.domain(args.src)[:n]
     params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")
-    sch = build_schedule(cfg)
+    sch = replace(build_schedule(cfg), eta=eta)
     req = TranslationRequest(x_src=x_src, src=args.src, tgt=args.tgt,
-                             mode=args.mode, steps=args.steps, eta=args.eta,
-                             seed=args.seed)
-    result = translate(params, req, topo, sch, variant=cfg.variant)
+                             mode=args.mode, steps=args.steps, seed=args.seed)
+    result = translate(params, req, topo, sch)
     rel = f"reports/translate-{args.src}-{args.tgt}-{args.mode}.csv"
     with open(run / rel, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -567,8 +566,8 @@ def cmd_eval(args) -> int:
     report = metrics.evaluate_checkpoint(
         params, tuples, topo, directions, args.mode, sch, inst=inst,
         n_eval=cfg.n_eval, seed=child_seed(cfg.seed, "eval"),
-        steps=cfg.eval_steps, eta=cfg.eta, variant=cfg.variant,
-        projections=cfg.projections, config_hash=config_hash(cfg))
+        steps=cfg.eval_steps, projections=cfg.projections,
+        config_hash=config_hash(cfg))
     rel = f"reports/eval-{args.mode}-{args.directions}.csv"
     metrics.write_report_csv(run / rel, report)
     update_manifest(run, cfg, {f"eval-{args.mode}-{args.directions}": rel})
@@ -607,8 +606,8 @@ def cmd_ablate(args) -> int:
             report = metrics.evaluate_checkpoint(
                 result.params, tuples, topo, directions, "direct", sch,
                 inst=inst, n_eval=cfg.n_eval, seed=child_seed(cfg.seed, "eval"),
-                steps=cfg.eval_steps, eta=cfg.eta, variant=cfg.variant,
-                projections=cfg.projections, config_hash=config_hash(cfg))
+                steps=cfg.eval_steps, projections=cfg.projections,
+                config_hash=config_hash(cfg))
             sw = float(np.mean([r.sliced_w2 for r in report.records]))
             rows.append((name, value, f"{sw:.6g}", "ok"))
         except (CliError, DivergenceError, ValueError) as exc:
@@ -694,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", type=int, required=True)
     p.add_argument("--mode", choices=("indirect", "direct"), default="indirect")
     p.add_argument("--steps", type=int, default=0, help="0 uses the full schedule")
-    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--eta", type=float, default=None, help="replaces schedule.eta")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=0, help="number of sources (0: eval.n_eval)")
     p.add_argument("--plot", action="store_true")

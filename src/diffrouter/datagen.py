@@ -176,6 +176,8 @@ class OracleScorePredictor:
     Implements the same call signature as the learned router:
     eps*(x_t, t, x_src, tgt, src) = sigma_t St^{-1} (x_t - a_t mu) with
     (mu, Sigma) the analytic conditional and St = a_t^2 Sigma + sigma_t^2 I.
+    t is a scalar step, or one step per row of a batch x_t with aligned x_src
+    rows; then each distinct step is solved once for its rows.
     """
 
     def __init__(self, inst: GaussianInstance, sch):
@@ -183,14 +185,24 @@ class OracleScorePredictor:
         self.sch = sch
 
     def __call__(self, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
-        t = int(t)  # scalar steps only; the oracle has no per-row time path
         squeeze = np.asarray(x_t).ndim == 1
         x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
+        x_src = np.atleast_2d(x_src)
+        if np.ndim(t) == 0:
+            out = self._eps(x_t, int(t), x_src, tgt, src)
+        else:
+            t = np.asarray(t)
+            out = np.empty_like(x_t)
+            for step in np.unique(t):
+                rows = t == step
+                out[rows] = self._eps(x_t[rows], int(step), x_src[rows], tgt, src)
+        return out[0] if squeeze else out
+
+    def _eps(self, x_t, t: int, x_src, tgt: int, src: int) -> np.ndarray:
         a_t = self.sch.a[t]
         sigma_t = self.sch.sigma[t]
-        mean, cov = noisy_conditional(self.inst, src, tgt, np.atleast_2d(x_src), a_t, sigma_t)
-        out = sigma_t * np.linalg.solve(cov, (x_t - mean).T).T
-        return out[0] if squeeze else out
+        mean, cov = noisy_conditional(self.inst, src, tgt, x_src, a_t, sigma_t)
+        return sigma_t * np.linalg.solve(cov, (x_t - mean).T).T
 
 
 def _make_gaussian_instance(K: int, d: int, rng: np.random.Generator,

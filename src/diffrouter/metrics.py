@@ -119,8 +119,7 @@ class MetricsReport:
 
 def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: str,
                         sch, *, inst: GaussianInstance | None = None, n_eval: int = 500,
-                        seed: int = 0, steps: int = 0, eta: float = 0.0,
-                        variant: str = "diffusion", projections: int = 128,
+                        seed: int = 0, steps: int = 0, projections: int = 128,
                         config_hash: str = "") -> MetricsReport:
     """Translate eval-tuple sources for each (src, tgt) direction and compare
     against aligned targets (RMSE) and against the target conditional
@@ -133,8 +132,8 @@ def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: s
         if len(x_src) < 2:
             raise ValueError(f"no evaluation data for direction {src}->{tgt}")
         req = TranslationRequest(x_src=x_src, src=src, tgt=tgt, mode=mode,
-                                 steps=steps, eta=eta, seed=seed)
-        result = translate(predictor, req, topo, sch, variant=variant)
+                                 steps=steps, seed=seed)
+        result = translate(predictor, req, topo, sch)
         target_aligned = tuples.domain(tgt)[:n_eval]
         if inst is not None:
             reference = datagen.sample_conditional(inst, src, tgt, x_src, rng)

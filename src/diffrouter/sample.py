@@ -5,6 +5,9 @@ the learned router and the analytic oracle satisfy this. Indirect translation
 chains one full reverse pass per tree hop, feeding each hop's output into the
 next hop's conditioning. Direct translation runs a single reverse pass with
 the requested (src, tgt) labels.
+
+The schedule's type picks the sampler, and its eta the reverse-step noise: a
+`DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +26,6 @@ class TranslationRequest:
     tgt: int
     mode: str = "indirect"  # "indirect" | "direct"
     steps: int = 0          # 0: use the schedule's full T
-    eta: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -134,12 +136,10 @@ def reverse_step_bridge(predictor, x_t, t: int, y, tgt: int, src: int,
 
 
 def sample_chain_diffusion(predictor, x_src, tgt: int, src: int, sch: DiffusionSchedule,
-                           rng: np.random.Generator, steps: int = 0,
-                           eta: float | None = None) -> tuple[np.ndarray, int]:
+                           rng: np.random.Generator,
+                           steps: int = 0) -> tuple[np.ndarray, int]:
     """Full reverse pass from Gaussian noise, conditioned on x_src.
     Returns (sample, number of denoising steps run)."""
-    if eta is not None and eta != sch.eta:
-        sch = DiffusionSchedule(T=sch.T, a=sch.a, sigma=sch.sigma, eta=eta)
     grid = _time_grid(sch.T, steps)
     x_src = np.asarray(x_src, dtype=np.float64)
     x = rng.standard_normal(x_src.shape)
@@ -161,11 +161,11 @@ def sample_chain_bridge(predictor, y, tgt: int, src: int, sch: BridgeSchedule,
     return x, len(grid) - 1
 
 
-def translate(predictor, req: TranslationRequest, topo: Topology, sch,
-              variant: str = "diffusion") -> TranslationResult:
-    """Run the requested translation; see module docstring for the two modes."""
+def translate(predictor, req: TranslationRequest, topo: Topology,
+              sch: DiffusionSchedule | BridgeSchedule) -> TranslationResult:
+    """Run the requested translation by the sampler of `sch`; see module docstring."""
     rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, req.tgt]))
-    chain = sample_chain_diffusion if variant == "diffusion" else sample_chain_bridge
+    chain = sample_chain_bridge if isinstance(sch, BridgeSchedule) else sample_chain_diffusion
     _check_labels(topo, req.src, req.tgt)
     if req.mode == "direct":
         if not topo.is_edge(req.src, req.tgt):
@@ -175,12 +175,8 @@ def translate(predictor, req: TranslationRequest, topo: Topology, sch,
                     "direct translation between non-adjacent domains requires a "
                     "checkpoint trained with the combined direct objective; this "
                     "one is paired-only")
-        if variant == "diffusion":
-            x, n_steps = chain(predictor, req.x_src, req.tgt, req.src, sch, rng,
-                               steps=req.steps, eta=req.eta)
-        else:
-            x, n_steps = chain(predictor, req.x_src, req.tgt, req.src, sch, rng,
-                               steps=req.steps)
+        x, n_steps = chain(predictor, req.x_src, req.tgt, req.src, sch, rng,
+                           steps=req.steps)
         return TranslationResult(x_tgt=x, intermediates=[], total_steps=n_steps)
 
     path = route_path(topo, req.src, req.tgt)
@@ -188,12 +184,7 @@ def translate(predictor, req: TranslationRequest, topo: Topology, sch,
     intermediates = []
     total = 0
     for hop_src, hop_tgt in zip(path[:-1], path[1:]):
-        if variant == "diffusion":
-            x, n_steps = chain(predictor, x, hop_tgt, hop_src, sch, rng,
-                               steps=req.steps, eta=req.eta)
-        else:
-            x, n_steps = chain(predictor, x, hop_tgt, hop_src, sch, rng,
-                               steps=req.steps)
+        x, n_steps = chain(predictor, x, hop_tgt, hop_src, sch, rng, steps=req.steps)
         total += n_steps
         if hop_tgt != req.tgt:
             intermediates.append(x)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROFILES = ("linear", "cosine")
+VARIANTS = ("diffusion", "bridge")
 
 # Continuous-time analog of the DDPM beta range [1e-4, 2e-2] over 1000 steps.
 _LINEAR_BETA_LO = 1e-4
@@ -34,6 +35,9 @@ class DiffusionSchedule:
     sigma: np.ndarray
     eta: float = 0.0
 
+    def __post_init__(self):
+        _check_eta(self.eta)
+
 
 @dataclass(frozen=True)
 class BridgeSchedule:
@@ -44,6 +48,15 @@ class BridgeSchedule:
     beta: np.ndarray
     sigma: np.ndarray
     eta: float = 0.0
+
+    def __post_init__(self):
+        _check_eta(self.eta)
+
+
+def _check_eta(eta: float) -> None:
+    # a negative eta would give the reverse step a negative noise std
+    if not (np.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
 
 def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) -> DiffusionSchedule:

@@ -10,6 +10,9 @@ Three regimes:
   from-scratch: same combined loss, but the reference predictor is the
       current parameters themselves; each step queries it before its update.
 
+The schedule's type picks the corruption: a `DiffusionSchedule` noises the target,
+a `BridgeSchedule` bridges the pair's two sides and supports paired training only.
+
 Training keeps a float64 master vector (`RouterParams.flat`) and float64
 AdamW state, and computes in float32: after each update the master vector is
 cast once into a float32 compute copy, whose forward and backward passes give
@@ -32,9 +35,8 @@ from .datagen import PairedDataset, Topology
 from .netcore import DivergenceError, OptimizerState, optimizer_step
 from .router import RouterGrads, RouterParams, freeze
 from .sample import route_path
-from .schedules import DiffusionSchedule
+from .schedules import BridgeSchedule, DiffusionSchedule
 
-VARIANTS = ("diffusion", "bridge")
 REGIMES = ("paired-only", "finetune", "from-scratch")
 
 
@@ -44,7 +46,6 @@ class TrainConfig:
     lambda2: float = 1.0
     n_refine: int = 5
     regime: str = "paired-only"
-    variant: str = "diffusion"
     steps: int = 20000
     batch_size: int = 128
     seed: int = 0
@@ -66,19 +67,17 @@ class TrainConfig:
             raise ValueError("n_refine must be >= 0")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _corrupt(x_tgt, x_src, t, eps, sch, variant: str):
-    if variant == "diffusion":
-        return sch.a[t][:, None] * x_tgt + sch.sigma[t][:, None] * eps
-    return (sch.alpha[t][:, None] * x_tgt + sch.beta[t][:, None] * x_src
-            + sch.sigma[t][:, None] * eps)
+def _corrupt(x_tgt, x_src, t, eps, sch):
+    if isinstance(sch, BridgeSchedule):
+        return (sch.alpha[t][:, None] * x_tgt + sch.beta[t][:, None] * x_src
+                + sch.sigma[t][:, None] * eps)
+    return sch.a[t][:, None] * x_tgt + sch.sigma[t][:, None] * eps
 
 
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
-                     sch, rng: np.random.Generator, *, variant: str = "diffusion",
+                     sch, rng: np.random.Generator, *,
                      topo: Topology | None = None, predict_fn=None, zeta=None
                      ) -> tuple[float, RouterGrads | None]:
     """One evaluation of the bidirectional paired objective on a batch.
@@ -108,7 +107,7 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
         mask = zeta == flag
         if not np.any(mask):
             continue
-        x_t = _corrupt(x_tgt[mask], x_src[mask], t[mask], eps[mask], sch, variant)
+        x_t = _corrupt(x_tgt[mask], x_src[mask], t[mask], eps[mask], sch)
         if predict_fn is not None:
             pred = predict_fn(x_t, t[mask], x_src[mask], tgt, src)
         else:
@@ -150,7 +149,7 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     is Tweedie-refined against x_c before the frozen reference is queried.
     The reference receives no gradient.
     """
-    if cfg.variant == "bridge":
+    if isinstance(sch, BridgeSchedule):
         raise ValueError(
             "unpaired finetuning is refused for the bridge variant: the paths "
             "conditioned on x_src and x_c start from different endpoints, so "
@@ -192,8 +191,7 @@ def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
         grads.add_(g_u)
     if cfg.lambda2 > 0.0:
         idx = rng.integers(0, len(paired_ds), size=cfg.batch_size)
-        l_paired, g_p = paired_loss_step(params, paired_ds, idx, sch, rng,
-                                         variant=cfg.variant, topo=topo)
+        l_paired, g_p = paired_loss_step(params, paired_ds, idx, sch, rng, topo=topo)
         g_p.scale_(cfg.lambda2)
         grads.add_(g_p)
     total = cfg.lambda1 * l_unpaired + cfg.lambda2 * l_paired
@@ -293,8 +291,7 @@ def _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log):
     for step in range(1, cfg.steps + 1):
         ds = datasets[(step - 1) % len(datasets)]
         idx = rng.integers(0, len(ds), size=cfg.batch_size)
-        loss, grads = paired_loss_step(work, ds, idx, sch, rng,
-                                       variant=cfg.variant, topo=topo)
+        loss, grads = paired_loss_step(work, ds, idx, sch, rng, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
         _update(opt, params, work, grads)

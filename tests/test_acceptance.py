@@ -234,28 +234,26 @@ def test_acceptance_9_bridge_refusal_and_parity(capsys):
     try:
         unpaired_loss_step(params, freeze(params), dss[0].x_a[:4], dss[0].x_b[:4],
                            1, 0, 2, dss[1].side(2), sch_b,
-                           TrainConfig(variant="bridge", regime="finetune"),
+                           TrainConfig(regime="finetune"),
                            np.random.default_rng(0), topo)
     except ValueError as exc:
         refused = "bridge" in str(exc)
 
-    def edge_sw(variant, steps, hidden, sch):
-        cfg = TrainConfig(regime="paired-only", variant=variant, steps=steps,
-                          seed=3, hidden=hidden)
+    def edge_sw(steps, hidden, sch):
+        cfg = TrainConfig(regime="paired-only", steps=steps, seed=3, hidden=hidden)
         res = train(cfg, topo, dss, sch)
         vals = []
         for src, tgt in [(1, 0), (0, 1)]:
             xs = tuples.domain(src)[:500]
             req = TranslationRequest(x_src=xs, src=src, tgt=tgt, mode="indirect")
-            out = translate(res.params, req, topo, sch, variant=variant)
+            out = translate(res.params, req, topo, sch)
             ref = tuples.domain(tgt)[500:1000]
             vals.append(metrics.sliced_wasserstein(out.x_tgt, ref,
                                                    rng=np.random.default_rng(0)))
         return float(np.mean(vals))
 
-    sw_diff = edge_sw("diffusion", 25000, (192, 192, 192),
-                      build_diffusion_schedule(100))
-    sw_bridge = edge_sw("bridge", 5000, (128, 128, 128), sch_b)
+    sw_diff = edge_sw(25000, (192, 192, 192), build_diffusion_schedule(100))
+    sw_bridge = edge_sw(5000, (128, 128, 128), sch_b)
     ok = refused and sw_bridge <= 2.0 * sw_diff
     _report(capsys, 9, "bridge finetune refusal and paired-quality parity", ok,
             f"refused={refused}, bridge {sw_bridge:.3f} vs diffusion {sw_diff:.3f}")

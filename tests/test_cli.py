@@ -109,6 +109,7 @@ BAD_VALUES = [
     ("schedule.eta=-1", "schedule.eta must be finite and nonnegative, got -1.0"),
     ("schedule.eta=inf", "schedule.eta must be finite and nonnegative, got inf"),
     ("schedule.eta=nan", "schedule.eta must be finite and nonnegative, got nan"),
+    ("schedule.variant=ode", "unknown schedule variant 'ode'"),
 ]
 
 
@@ -335,12 +336,21 @@ def test_error_reporting_single_line(workspace, capsys):
 
 
 def test_bridge_run_variant(workspace):
-    """The bridge variant trains paired and refuses finetuning."""
+    """The bridge variant trains paired, refuses finetuning, and translates at
+    the --eta it is given."""
     root, cfg_path = workspace
     ov = ["--override", "schedule.variant=bridge"]
     assert main(["gen-data", "--config", cfg_path] + ov) == 0
     assert main(["train-paired", "--config", cfg_path] + ov) == 0
     assert main(["finetune-direct", "--config", cfg_path] + ov) == 1
+    report = (_run(root, load_config(cfg_path, ov[1::2]))
+              / "reports/translate-1-2-indirect.csv")
+    outputs = []
+    for eta in ("0", "1"):
+        argv = ["translate", "--config", cfg_path, "--src", "1", "--tgt", "2"]
+        assert main(argv + ov + ["--eta", eta]) == 0
+        outputs.append(report.read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +395,30 @@ def test_translate_refuses_bad_arguments(trained_run, monkeypatch, capsys, argv,
     assert not list(reports.glob("translate-*"))
 
 
+def test_translate_defaults_to_the_schedule_eta(trained_run, tmp_path, monkeypatch):
+    """Without --eta, translate samples at the run's schedule.eta."""
+    _, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    ov = ["--override", "schedule.eta=0.5"]
+    assert main(["gen-data", "--config", cfg_path] + ov) == 0
+    # the paired checkpoint does not depend on eta: reuse the trained run's
+    ckpt = (trained_run[0] / "runs" / config_hash(load_config(cfg_path))
+            / "checkpoints/paired.ckpt")
+    report = (_run(tmp_path, load_config(cfg_path, ov[1::2]))
+              / "reports/translate-1-2-indirect.csv")
+    outputs = []
+    for eta in ([], ["--eta", "0.5"], ["--eta", "0"]):
+        argv = ["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
+                "--checkpoint", str(ckpt)]
+        assert main(argv + ov + eta) == 0
+        outputs.append(report.read_bytes())
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 # every key TrainConfig shares with ExperimentConfig, at a non-default value
 SHARED_TRAIN_KEYS = {
-    "schedule.variant": "bridge", "network.hidden": (8, 4), "network.time_dim": 4,
-    "network.emb_dim": 2, "network.activation": "identity", "train.steps": 11,
+    "network.hidden": (8, 4), "network.time_dim": 4, "network.emb_dim": 2,
+    "network.activation": "identity", "train.steps": 11,
     "train.batch_size": 16, "train.lr": 2e-3, "train.finetune_lr": 1e-3,
     "train.warmup_steps": 7, "train.lambda1": 0.5, "train.lambda2": 2.0,
     "train.n_refine": 2, "train.log_window": 3, "train.curriculum": False,

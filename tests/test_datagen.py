@@ -177,6 +177,29 @@ def test_eval_tuples_not_accepted_by_training(small_star, sch100, rng):
         paired_loss_step(params, tuples, np.arange(4), sch100, rng)
 
 
+def test_oracle_takes_per_row_steps(small_star, sch100, rng):
+    """A per-row t equals row-by-row scalar calls, so the oracle can be the
+    teacher of the unpaired loss, which draws one step per row."""
+    from diffrouter.router import init_router
+    from diffrouter.train import TrainConfig, unpaired_loss_step
+    topo, datasets, _, inst = small_star
+    oracle = datagen.OracleScorePredictor(inst, sch100)
+    ds = datasets[0]
+    x_t = rng.standard_normal((12, 2))
+    t = np.array([5, 90, 5, 1, 100, 90, 33, 5, 1, 60, 60, 7])
+    x_src = ds.side(0)[:12]
+    batch = oracle(x_t, t, x_src, 1, 0)
+    rows = [oracle(x_t[r], t[r], x_src[r], 1, 0) for r in range(12)]
+    assert np.allclose(batch, rows, rtol=1e-12, atol=0.0)
+
+    params = init_router(2, 3, 100, [8], np.random.default_rng(0))
+    loss, grads = unpaired_loss_step(params, oracle, ds.side(1)[:16], ds.side(0)[:16],
+                                     1, 0, 2, datasets[1].side(2), sch100,
+                                     TrainConfig(regime="finetune"), rng, topo)
+    assert np.isfinite(loss) and loss > 0.0
+    assert np.all(np.isfinite(grads.flat))
+
+
 def test_eval_tuples_domain_refuses_unknown_label(small_star):
     _, _, tuples, _ = small_star
     assert tuples.domain(2).shape == (len(tuples), 2)

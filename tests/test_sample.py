@@ -130,7 +130,7 @@ def test_bridge_output_in_target_support():
     topo, datasets, tuples, _ = datagen.make_star_instance(
         2, 64, 2000, seed=9, family="glyphs", M=200)
     sch = build_bridge_schedule(50)
-    cfg = TrainConfig(regime="paired-only", variant="bridge", steps=8000,
+    cfg = TrainConfig(regime="paired-only", steps=8000,
                       hidden=(128, 128), seed=4, warmup_steps=300)
     result = train(cfg, topo, datasets, sch)
     rng = np.random.default_rng(0)

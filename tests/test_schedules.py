@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,17 @@ def test_build_errors():
         build_diffusion_schedule(100, profile="quadratic")
     with pytest.raises(ValueError):
         build_bridge_schedule(0)
+
+
+@pytest.mark.parametrize("eta", [-1.0, np.inf, np.nan])
+def test_schedules_refuse_bad_eta(eta):
+    """A negative eta would give a negative reverse-step std; every way of
+    making a schedule refuses it, and a non-finite one."""
+    match = f"eta must be finite and nonnegative, got {eta}"
+    with pytest.raises(ValueError, match=match):
+        build_diffusion_schedule(10, eta=eta)
+    with pytest.raises(ValueError, match=match):
+        build_bridge_schedule(10, eta=eta)
+    for sch in (build_diffusion_schedule(10), build_bridge_schedule(10)):
+        with pytest.raises(ValueError, match=match):
+            replace(sch, eta=eta)

@@ -28,8 +28,6 @@ def test_config_validation():
         TrainConfig(n_refine=-1)
     with pytest.raises(ValueError):
         TrainConfig(regime="other")
-    with pytest.raises(ValueError):
-        TrainConfig(variant="other")
 
 
 def test_paired_loss_zero_for_perfect_predictor(setup, sch100):
@@ -136,7 +134,7 @@ def test_bridge_corruption_used(setup, rng):
             return self.inner.standard_normal(*a, **k)
 
     paired_loss_step(params, datasets[0], np.arange(8), sch, FixedT(rng),
-                     variant="bridge", zeta=np.ones(8, dtype=int),
+                     zeta=np.ones(8, dtype=int),
                      predict_fn=spy)
     assert np.allclose(seen["x_t"], seen["x_src"])  # alpha_T=0, beta_T=1, sigma_T=0
 
@@ -159,7 +157,7 @@ def test_tweedie_refine_basics(sch100, rng):
 def test_unpaired_refuses_bridge(setup, rng):
     topo, datasets, *_ , params = setup
     sch = build_bridge_schedule(100)
-    cfg = TrainConfig(variant="bridge", regime="finetune")
+    cfg = TrainConfig(regime="finetune")
     ref = freeze(params)
     ds = datasets[0]
     with pytest.raises(ValueError, match="bridge"):
