@@ -165,11 +165,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise CliError(f"unknown instance family {cfg.family!r}")
     if cfg.topology not in ("star", "chain"):
         raise CliError(f"unknown topology {cfg.topology!r}")
-    if cfg.topology == "star" and cfg.K < 2:
-        raise CliError("star topology needs at least 2 domains")
-    if cfg.topology == "chain" and cfg.K < 3:
-        raise CliError("chain topology needs at least 3 domains")
-    if not 0 <= cfg.central < cfg.K:
+    try:
+        build_instance_topology(cfg)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if not 0 <= cfg.central < cfg.K:  # a chain ignores the key, but it must still be valid
         raise CliError(f"central domain {cfg.central} out of range")
     if cfg.profile not in PROFILES:
         raise CliError(f"unknown schedule profile {cfg.profile!r}")
@@ -233,11 +233,20 @@ def child_seed(master: int, component: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def _read_json(path: Path, parse):
+    """parse(the JSON in `path`); a damaged file fails as one ValueError naming it."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: damaged file: {type(exc).__name__}: {exc}") from None
+
+
 def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str]) -> None:
     path = run / "manifest.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {
-        "config_hash": config_hash(cfg), "tool_version": __version__,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "artifacts": {}}
+    manifest = {"config_hash": config_hash(cfg), "tool_version": __version__,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "artifacts": {}}
+    if path.exists():
+        manifest = _read_json(path, lambda m: {**m, "artifacts": dict(m["artifacts"])})
     for name, rel in artifacts.items():
         if not (run / rel).exists():
             raise CliError(f"manifest artifact missing on disk: {rel}")
@@ -282,31 +291,24 @@ def load_run_data(cfg: ExperimentConfig, run: Path):
             raise CliError(f"missing dataset {path}; run gen-data first")
         datasets.append(datagen.load_paired_dataset(path))
     tuples = datagen.load_eval_tuples(run / "datasets/eval.bin")
-    inst = None
     inst_path = run / "datasets/instance.json"
-    if inst_path.exists():
-        inst = datagen.instance_from_dict(json.loads(inst_path.read_text()))
+    inst = _read_json(inst_path, datagen.instance_from_dict) if inst_path.exists() else None
     return topo, datasets, tuples, inst
 
 
 def build_instance_topology(cfg: ExperimentConfig) -> datagen.Topology:
     if cfg.topology == "star":
-        edges = tuple((k, cfg.central) for k in range(cfg.K) if k != cfg.central)
-        return datagen.Topology(K=cfg.K, edges=edges, central=cfg.central)
-    edges = tuple((k, k + 1) for k in range(cfg.K - 1))
-    return datagen.Topology(K=cfg.K, edges=edges, central=None)
+        return datagen.Topology.star(cfg.K, cfg.central)
+    return datagen.Topology.chain(cfg.K)
 
 
+# perfbench/run.py calls these two; they go with its next revision
 def all_directions(topo: datagen.Topology) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(topo.K) for j in range(topo.K) if i != j]
-
-
-def edge_directions(topo: datagen.Topology) -> list[tuple[int, int]]:
-    return [(i, j) for i, j in all_directions(topo) if topo.is_edge(i, j)]
+    return topo.directions("all")
 
 
 def nonedge_directions(topo: datagen.Topology) -> list[tuple[int, int]]:
-    return [(i, j) for i, j in all_directions(topo) if not topo.is_edge(i, j)]
+    return topo.directions("nonedges")
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +454,7 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     sch = build_schedule(cfg)
     init_params = None
     if regime == "finetune":
-        paired_path = run / "checkpoints/paired.ckpt"
-        if args.init_checkpoint:
-            paired_path = Path(args.init_checkpoint)
-        if not paired_path.exists():
-            raise CliError(f"missing pretrained checkpoint {paired_path}; "
-                           "run train-paired first")
-        init_params = load_run_checkpoint(paired_path, cfg)
+        init_params = _load_predictor(run, cfg, args.init_checkpoint, "paired.ckpt")
     tcfg = _train_config(cfg, regime, getattr(cfg, steps_field), seed_key=regime)
     log_rel = f"logs/{regime}.csv"
     result = train(tcfg, topo, datasets, sch, init_params=init_params,
@@ -489,9 +485,14 @@ def cmd_train_scratch(args) -> int:
     return _train_common(args, "from-scratch", "scratch.ckpt", "scratch_steps")
 
 
-def load_run_checkpoint(path: Path, cfg: ExperimentConfig) -> router_mod.RouterParams:
-    """The checkpoint's parameters; raises CliError unless its T, domain
-    count and data dimension are the run's."""
+def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
+                    default: str) -> router_mod.RouterParams:
+    """The parameters at `checkpoint`, else the run's `default` one; raises CliError
+    unless that exists and its T, domain count and data dimension are the run's."""
+    path = Path(checkpoint) if checkpoint else run / "checkpoints" / default
+    if not path.exists():
+        stage = {"paired.ckpt": "train-paired", "direct.ckpt": "finetune-direct"}[default]
+        raise CliError(f"checkpoint not found: {path}; run {stage} first")
     params, _ = router_mod.load_checkpoint(path)
     for key, have, want in (("n_timesteps", params.n_timesteps, cfg.T),
                             ("n_domains", params.n_domains, cfg.K),
@@ -500,14 +501,6 @@ def load_run_checkpoint(path: Path, cfg: ExperimentConfig) -> router_mod.RouterP
             raise CliError(f"{path}: checkpoint {key}={have} does not match "
                            f"this run's {want}")
     return params
-
-
-def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
-                    default: str) -> router_mod.RouterParams:
-    path = Path(checkpoint) if checkpoint else run / "checkpoints" / default
-    if not path.exists():
-        raise CliError(f"checkpoint not found: {path}")
-    return load_run_checkpoint(path, cfg)
 
 
 def cmd_translate(args) -> int:
@@ -557,14 +550,8 @@ def cmd_eval(args) -> int:
     default_ckpt = "direct.ckpt" if args.mode == "direct" else "paired.ckpt"
     params = _load_predictor(run, cfg, args.checkpoint, default_ckpt)
     sch = build_schedule(cfg)
-    if args.directions == "edges":
-        directions = edge_directions(topo)
-    elif args.directions == "nonedges":
-        directions = nonedge_directions(topo)
-    else:
-        directions = all_directions(topo)
     report = metrics.evaluate_checkpoint(
-        params, tuples, topo, directions, args.mode, sch, inst=inst,
+        params, tuples, topo, topo.directions(args.directions), args.mode, sch, inst=inst,
         n_eval=cfg.n_eval, seed=child_seed(cfg.seed, "eval"),
         steps=cfg.eval_steps, projections=cfg.projections,
         config_hash=config_hash(cfg))
@@ -583,18 +570,14 @@ def cmd_ablate(args) -> int:
     run = run_path(cfg)
     topo, datasets, tuples, inst = load_run_data(cfg, run)
     sch = build_schedule(cfg)
-    paired_path = run / "checkpoints/paired.ckpt"
-    if not paired_path.exists():
-        raise CliError(f"missing pretrained checkpoint {paired_path}; "
-                       "run train-paired first")
-    init_params = load_run_checkpoint(paired_path, cfg)
+    init_params = _load_predictor(run, cfg, None, "paired.ckpt")
 
     if args.sweep == "refine-steps":
         cells = [("n_refine", n, cfg.lambda2, n) for n in REFINE_SWEEP]
-        directions = nonedge_directions(topo)
+        directions = topo.directions("nonedges")
     else:
         cells = [("lambda2", lam, lam, 0) for lam in LAMBDA2_SWEEP]
-        directions = edge_directions(topo)
+        directions = topo.directions("edges")
 
     rows = []
     for name, value, lam2, n_ref in cells:
@@ -683,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
                      ("train-scratch", cmd_train_scratch)):
         p = add(name, fn, help=f"run the {name} training regime")
         add_cfg(p)
-        p.add_argument("--init-checkpoint", default=None,
-                       help="pretrained checkpoint (finetune only)")
+        if fn is cmd_finetune_direct:
+            p.add_argument("--init-checkpoint", default=None,
+                           help="pretrained checkpoint (default: the run's paired.ckpt)")
 
     p = add("translate", cmd_translate, help="translate eval sources")
     add_cfg(p)

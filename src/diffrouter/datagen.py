@@ -29,8 +29,17 @@ GLYPH_DIM = GLYPH_SIDE * GLYPH_SIDE
 DATASET_MAGIC = "diffrouter-dataset"
 
 
+def check_labels(K: int, *labels: int) -> None:
+    """Refuse any domain label outside [0, K)."""
+    for lbl in labels:
+        if not 0 <= lbl < K:
+            raise ValueError(f"domain label {lbl} out of range [0, {K})")
+
+
 @dataclass(frozen=True)
 class Topology:
+    """A spanning tree over K domains; each edge has a paired dataset."""
+
     K: int
     edges: tuple[tuple[int, int], ...]
     central: int | None = None
@@ -38,19 +47,36 @@ class Topology:
     def __post_init__(self):
         if len(self.edges) != self.K - 1:
             raise ValueError(f"spanning tree over {self.K} domains needs {self.K - 1} edges")
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != self.K:
+        check_labels(self.K, *(v for edge in self.edges for v in edge))
+        if len(self.parents(0)) != self.K:
             raise ValueError("edge set does not connect all domains")
         if self.central is not None and any(self.central not in e for e in self.edges):
             raise ValueError("in star mode every edge must touch the central domain")
+
+    @classmethod
+    def star(cls, K: int, central: int) -> "Topology":
+        """Every edge joins a non-central domain to `central`."""
+        if K < 2:
+            raise ValueError("star topology needs at least 2 domains")
+        if not 0 <= central < K:
+            raise ValueError(f"central domain {central} out of range")
+        return cls(K=K, edges=tuple((k, central) for k in range(K) if k != central),
+                   central=central)
+
+    @classmethod
+    def chain(cls, K: int) -> "Topology":
+        """The path 0-1-...-K-1."""
+        if K < 3:
+            raise ValueError("chain topology needs at least 3 domains")
+        return cls(K=K, edges=tuple((k, k + 1) for k in range(K - 1)))
+
+    def directions(self, which: str) -> list[tuple[int, int]]:
+        """The ordered pairs (i, j), i != j, in row-major order: "all" of
+        them, the "edges" of the tree in both orders, or the "nonedges"."""
+        if which not in ("all", "edges", "nonedges"):
+            raise ValueError(f"unknown direction set {which!r}")
+        return [(i, j) for i in range(self.K) for j in range(self.K) if i != j
+                and (which == "all" or self.is_edge(i, j) == (which == "edges"))]
 
     def adjacency(self) -> dict[int, list[int]]:
         adj = {k: [] for k in range(self.K)}
@@ -61,6 +87,19 @@ class Topology:
 
     def is_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges or (b, a) in self.edges
+
+    def parents(self, root: int) -> dict[int, int | None]:
+        """Each domain reachable from `root` -> its neighbour one hop closer to it."""
+        adj = self.adjacency()
+        prev = {root: None}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if nxt not in prev:
+                    prev[nxt] = node
+                    stack.append(nxt)
+        return prev
 
 
 @dataclass
@@ -96,9 +135,7 @@ class EvalTuples:
         return self.samples.shape[0]
 
     def domain(self, k: int) -> np.ndarray:
-        K = self.samples.shape[1]
-        if not 0 <= k < K:
-            raise ValueError(f"domain label {k} out of range [0, {K})")
+        check_labels(self.samples.shape[1], k)
         return self.samples[:, k, :]
 
 
@@ -387,32 +424,20 @@ def _build_instance(topo: Topology, d: int, N: int, M: int, family: str,
     eval_idx = np.arange((K - 1) * N, n_pool)
     eval_views = views(pool[eval_idx], rng)
     tuples = EvalTuples(samples=eval_views, latent_indices=eval_idx)
-    return datasets, tuples, inst
+    return topo, datasets, tuples, inst
 
 
 def make_star_instance(K: int, d: int, N: int, seed: int, family: str = "gaussian-affine",
                        M: int = 5000, central: int = 0, edge_shift: float = 0.0):
     """Star topology: every edge joins a non-central domain to `central`.
     Returns (Topology, [PairedDataset], EvalTuples, GaussianInstance | None)."""
-    if K < 2:
-        raise ValueError("star instance needs K >= 2")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown instance family {family!r}")
-    edges = tuple((k, central) for k in range(K) if k != central)
-    topo = Topology(K=K, edges=edges, central=central)
-    datasets, tuples, inst = _build_instance(topo, d, N, M, family, seed, edge_shift)
-    return topo, datasets, tuples, inst
+    return _build_instance(Topology.star(K, central), d, N, M, family, seed, edge_shift)
 
 
 def make_chain_instance(K: int, d: int, N: int, seed: int, M: int = 5000,
                         family: str = "gaussian-affine"):
     """Path topology 0-1-...-K-1 with one paired dataset per consecutive pair."""
-    if K < 3:
-        raise ValueError("chain instance needs K >= 3")
-    edges = tuple((k, k + 1) for k in range(K - 1))
-    topo = Topology(K=K, edges=edges, central=None)
-    datasets, tuples, inst = _build_instance(topo, d, N, M, family, seed)
-    return topo, datasets, tuples, inst
+    return _build_instance(Topology.chain(K), d, N, M, family, seed)
 
 
 def partial_correlation(xi: np.ndarray, xj: np.ndarray, xc: np.ndarray) -> float:

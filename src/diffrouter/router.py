@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _blockfile, netcore
+from .datagen import check_labels
 from .netcore import DenseNet
 
 DEFAULT_TIME_DIM = 16
@@ -120,15 +121,9 @@ def time_table(n_timesteps: int, width: int) -> np.ndarray:
     return table
 
 
-def _check_labels(params: RouterParams, tgt: int, src: int) -> None:
-    for lbl in (tgt, src):
-        if not 0 <= lbl < params.n_domains:
-            raise ValueError(f"domain label {lbl} out of range [0, {params.n_domains})")
-
-
 def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
     """The (B, in_dim) backbone input, in the dtype of the backbone weights."""
-    _check_labels(params, tgt, src)
+    check_labels(params.n_domains, tgt, src)
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
     x_src = np.atleast_2d(np.asarray(x_src, dtype=np.float64))
     if x_t.shape[1] != params.data_dim or x_src.shape[1] != params.data_dim:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Topology
+from .datagen import Topology, check_labels
 from .router import KIND_DIRECT
 from .schedules import BridgeSchedule, DiffusionSchedule, bridge_reverse_std, reverse_variance
 
@@ -44,32 +44,14 @@ class TranslationResult:
     total_steps: int = 0
 
 
-def _check_labels(topo: Topology, *labels: int) -> None:
-    for lbl in labels:
-        if not 0 <= lbl < topo.K:
-            raise ValueError(f"domain label {lbl} out of range [0, {topo.K})")
-
-
 def route_path(topo: Topology, src: int, tgt: int) -> list[int]:
     """Unique simple path from src to tgt in the spanning tree."""
-    _check_labels(topo, src, tgt)
-    if src == tgt:
-        return [src]
-    adj = topo.adjacency()
-    prev = {src: None}
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        if node == tgt:
-            break
-        for nxt in adj[node]:
-            if nxt not in prev:
-                prev[nxt] = node
-                stack.append(nxt)
-    path = [tgt]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    check_labels(topo.K, src, tgt)
+    toward_tgt = topo.parents(tgt)
+    path = [src]
+    while path[-1] != tgt:
+        path.append(toward_tgt[path[-1]])
+    return path
 
 
 def _time_grid(T: int, steps: int) -> np.ndarray:
@@ -166,7 +148,7 @@ def translate(predictor, req: TranslationRequest, topo: Topology,
     """Run the requested translation by the sampler of `sch`; see module docstring."""
     rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, req.tgt]))
     chain = sample_chain_bridge if isinstance(sch, BridgeSchedule) else sample_chain_diffusion
-    _check_labels(topo, req.src, req.tgt)
+    check_labels(topo.K, req.src, req.tgt)
     if req.mode == "direct":
         if not topo.is_edge(req.src, req.tgt):
             kind = getattr(predictor, "kind", None)

@@ -228,17 +228,6 @@ def _dataset_for_edge(datasets: list[PairedDataset], a: int, b: int) -> PairedDa
     raise ValueError(f"no dataset for edge ({a}, {b})")
 
 
-def _unpaired_directions(topo: Topology) -> list[tuple[int, int, int]]:
-    """Ordered non-edge directions (i, j, distance), both orders of each pair."""
-    out = []
-    for i in range(topo.K):
-        for j in range(topo.K):
-            if i == j or topo.is_edge(i, j):
-                continue
-            out.append((i, j, len(route_path(topo, i, j)) - 1))
-    return out
-
-
 def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
           sch, init_params: RouterParams | None = None,
           log_path=None) -> TrainResult:
@@ -301,10 +290,17 @@ def _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log):
 
 
 def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
-    directions = _unpaired_directions(topo)
+    # each non-edge direction i -> j with its route resolved once: the hop
+    # count, the first hop c, the (i, c) dataset and the dataset holding j
+    directions = []
+    for i, j in topo.directions("nonedges"):
+        path = route_path(topo, i, j)
+        directions.append((i, j, len(path) - 1, path[1],
+                           _dataset_for_edge(datasets, i, path[1]),
+                           _dataset_for_edge(datasets, j, path[-2])))
     if not directions:
         raise ValueError("topology has no non-edge pairs to finetune")
-    distances = sorted({dist for *_, dist in directions})
+    distances = sorted({route[2] for route in directions})
     if not cfg.curriculum:
         distances = [None]
     ref = work if cfg.regime == "from-scratch" else freeze(work)
@@ -314,7 +310,7 @@ def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
             phase_dirs = directions
             phase_steps = cfg.steps
         else:
-            phase_dirs = [(i, j, h) for i, j, h in directions if h == dist]
+            phase_dirs = [route for route in directions if route[2] == dist]
             phase_steps = cfg.steps // len(distances)
             if phase == len(distances) - 1:
                 phase_steps = cfg.steps - step
@@ -322,11 +318,7 @@ def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
             ref = freeze(work)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):
             step += 1
-            i, j, _ = phase_dirs[(step - 1) % len(phase_dirs)]
-            path = route_path(topo, i, j)
-            c = path[1]
-            ds_ic = _dataset_for_edge(datasets, i, c)
-            ds_j = _dataset_for_edge(datasets, j, path[-2])
+            i, j, _, c, ds_ic, ds_j = phase_dirs[(step - 1) % len(phase_dirs)]
             idx = rng.integers(0, len(ds_ic), size=cfg.batch_size)
             unpaired = (ds_ic.side(i)[idx], ds_ic.side(c)[idx], i, c, j, ds_j.side(j))
             paired_ds = datasets[(step - 1) % len(datasets)]

@@ -536,3 +536,39 @@ def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):
     path.write_bytes(path.read_bytes()[:-10])
     assert main(["eval", "--config", cfg_path]) == 1
     assert "runs past the end" in _one_line_error(capsys, path)
+
+
+@pytest.mark.parametrize("stage", ["train-paired", "train-scratch"])
+def test_only_finetune_takes_init_checkpoint(stage, capsys):
+    """The other trainings never read --init-checkpoint, so they refuse it
+    rather than silently ignore it."""
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--init-checkpoint", "pretrained.ckpt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --init-checkpoint" in capsys.readouterr().err
+
+
+def _truncate(text: str) -> str:
+    return text[:len(text) // 2]
+
+
+def _drop(key: str):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize("rel, damage, stage", [
+    ("datasets/instance.json", _truncate, "eval"),
+    ("datasets/instance.json", _drop("maps"), "eval"),
+    ("manifest.json", _truncate, "gen-data"),
+    ("manifest.json", _drop("artifacts"), "gen-data"),
+], ids=["instance-truncated", "instance-no-maps", "manifest-truncated",
+        "manifest-no-artifacts"])
+def test_damaged_json_is_one_line_error(workspace, capsys, rel, damage, stage):
+    """A damaged JSON file of the run fails as one ValueError line naming it."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    path = _run(root, load_config(cfg_path)) / rel
+    path.write_text(damage(path.read_text()))
+    assert main([stage, "--config", cfg_path]) == 1
+    assert "damaged file" in _one_line_error(capsys, path)

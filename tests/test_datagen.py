@@ -24,6 +24,28 @@ def test_topology_validation():
     assert not topo.is_edge(1, 2)
 
 
+def test_topology_constructors_and_directions():
+    star = Topology.star(4, 2)
+    assert star.edges == ((0, 2), (1, 2), (3, 2)) and star.central == 2
+    assert star.directions("all") == [(i, j) for i in range(4) for j in range(4) if i != j]
+    assert star.directions("edges") == [(0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]
+    assert star.directions("nonedges") == [(0, 1), (0, 3), (1, 0), (1, 3), (3, 0), (3, 1)]
+    chain = Topology.chain(4)
+    assert chain.edges == ((0, 1), (1, 2), (2, 3)) and chain.central is None
+    assert chain.directions("nonedges") == [(0, 2), (0, 3), (1, 3), (2, 0), (3, 0), (3, 1)]
+    with pytest.raises(ValueError, match="unknown direction set 'some'"):
+        chain.directions("some")
+    with pytest.raises(ValueError, match="star topology needs at least 2 domains"):
+        Topology.star(1, 0)
+    with pytest.raises(ValueError, match="central domain 4 out of range"):
+        Topology.star(4, 4)
+    with pytest.raises(ValueError, match="chain topology needs at least 3 domains"):
+        Topology.chain(2)
+    # an edge to an unknown domain is refused as a label, not a KeyError
+    with pytest.raises(ValueError, match=r"domain label 5 out of range \[0, 3\)"):
+        Topology(K=3, edges=((0, 1), (1, 5)))
+
+
 def test_star_k2_degenerates():
     topo, datasets, tuples, inst = make_star_instance(2, 2, 100, seed=1, M=50)
     assert len(datasets) == 1 and topo.edges == ((1, 0),)

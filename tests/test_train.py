@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diffrouter import datagen, netcore, router
+from diffrouter import datagen, metrics, netcore, router
 from diffrouter.datagen import OracleScorePredictor
 from diffrouter.netcore import DivergenceError, optimizer_step
 from diffrouter.router import freeze, init_router
@@ -379,3 +379,43 @@ def test_unpaired_loss_decreases_during_finetune(small_star, sch100):
     first = np.mean([v for s, v in vals if s <= lo + (hi - lo) / 4])
     last = np.mean([v for s, v in vals if s >= hi - (hi - lo) / 4])
     assert last < 0.6 * first
+
+
+def test_refinement_converges_at_per_row_steps():
+    """Acceptance 10's monotone convergence at the mixed t training uses:
+    3 x 4000 rows with t shuffled over {25, 50, 75}, refined by the oracle in
+    one call. Each t group's sliced W2 to its noisy conditional falls strictly
+    over n in {0, 1, 3, 5, 7}."""
+    rng = np.random.default_rng(0)
+    d = 2
+    A0 = 6.0 * np.linalg.qr(rng.standard_normal((d, d)))[0]
+    A1 = 6.0 * (np.linalg.qr(rng.standard_normal((d, d)))[0]
+                + 0.2 * rng.standard_normal((d, d)))
+    inst = datagen.GaussianInstance(maps=[A0, A1],
+                                    offsets=[np.zeros(d), rng.normal(0, 2, d)],
+                                    noise=[6.0, 1.0], latent_dim=d)
+    sch = build_diffusion_schedule(100, profile="cosine")
+    oracle = OracleScorePredictor(inst, sch)
+    x_c = A0 @ np.array([1.5, -1.0])
+    M, levels = 4000, (25, 50, 75)
+    t = np.random.default_rng(3).permutation(np.repeat(levels, M))
+    gen = np.random.default_rng(42)
+    x0 = (gen.standard_normal((3 * M, d)) @ A1.T + inst.offsets[1]
+          + 1.0 * gen.standard_normal((3 * M, d)))
+    base = (sch.a[t][:, None] * x0
+            + sch.sigma[t][:, None] * np.random.default_rng(8).standard_normal((3 * M, d)))
+    refs = {}
+    for level in levels:
+        mean, cov = datagen.noisy_conditional(inst, 0, 1, x_c, sch.a[level], sch.sigma[level])
+        noise = np.random.default_rng(7).standard_normal((M, d))
+        refs[level] = mean + noise @ np.linalg.cholesky(cov).T
+    vals = {level: [] for level in levels}
+    for n in (0, 1, 3, 5, 7):
+        # one shared stream per n so successive snapshots are coupled
+        refined = tweedie_refine(oracle, base, t, np.broadcast_to(x_c, (3 * M, d)), 1, 0,
+                                 n, sch, np.random.default_rng(100))
+        for level in levels:
+            vals[level].append(metrics.sliced_wasserstein(
+                refined[t == level], refs[level], rng=np.random.default_rng(0)))
+    for level, v in vals.items():
+        assert all(b < a for a, b in zip(v, v[1:])), (level, v)
