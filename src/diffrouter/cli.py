@@ -191,7 +191,13 @@ def _validate(cfg: ExperimentConfig) -> None:
                        f"got {cfg.time_dim}")
     if cfg.n_refine < 0 or cfg.lambda1 < 0 or cfg.lambda2 < 0:
         raise CliError("n_refine and loss coefficients must be nonnegative")
+    if cfg.eval_steps < 0:
+        raise CliError(f"eval.steps must be >= 0 (0: the full schedule), got {cfg.eval_steps}")
     _check_eta("schedule.eta", cfg.eta)
+    # a diffusion run ignores the key, but it must still be valid
+    if not (np.isfinite(cfg.bridge_scale) and cfg.bridge_scale > 0.0):
+        raise CliError(f"schedule.bridge_scale must be finite and positive, "
+                       f"got {cfg.bridge_scale}")
 
 
 def _check_eta(name: str, eta: float) -> None:
@@ -241,7 +247,10 @@ def _read_json(path: Path, parse):
         raise ValueError(f"{path}: damaged file: {type(exc).__name__}: {exc}") from None
 
 
-def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str]) -> None:
+def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str],
+                    settings: dict[str, dict]) -> None:
+    """Record `artifacts` (name -> path in the run) and, under "settings", what
+    made those artifacts that command-line arguments can change (name -> values)."""
     path = run / "manifest.json"
     manifest = {"config_hash": config_hash(cfg), "tool_version": __version__,
                 "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "artifacts": {}}
@@ -251,6 +260,8 @@ def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str])
         if not (run / rel).exists():
             raise CliError(f"manifest artifact missing on disk: {rel}")
         manifest["artifacts"][name] = rel
+    for name, values in settings.items():
+        manifest.setdefault("settings", {})[name] = values
     manifest["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -292,7 +303,13 @@ def load_run_data(cfg: ExperimentConfig, run: Path):
         datasets.append(datagen.load_paired_dataset(path))
     tuples = datagen.load_eval_tuples(run / "datasets/eval.bin")
     inst_path = run / "datasets/instance.json"
-    inst = _read_json(inst_path, datagen.instance_from_dict) if inst_path.exists() else None
+    inst = None
+    if inst_path.exists():
+        inst = _read_json(inst_path, datagen.instance_from_dict)
+        for key, have, want in (("K", inst.K, cfg.K), ("data_dim", inst.data_dim, cfg.d)):
+            if have != want:
+                raise CliError(f"{inst_path}: instance {key}={have} does not match "
+                               f"this run's {want}")
     return topo, datasets, tuples, inst
 
 
@@ -429,7 +446,7 @@ def cmd_gen_data(args) -> int:
         (run / "datasets/instance.json").write_text(
             json.dumps(datagen.instance_to_dict(inst), sort_keys=True) + "\n")
         artifacts["instance"] = "datasets/instance.json"
-    update_manifest(run, cfg, artifacts)
+    update_manifest(run, cfg, artifacts, {})
     print(f"gen-data: wrote {len(datasets)} edge datasets + eval tuples to {run}")
     return 0
 
@@ -466,7 +483,7 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     plot_training_log(result.log_rows, run / plot_rel, title=f"{regime} loss")
     update_manifest(run, cfg, {f"checkpoint-{regime}": ckpt_rel,
                                f"log-{regime}": log_rel,
-                               f"plot-{regime}": plot_rel})
+                               f"plot-{regime}": plot_rel}, {})
     final = result.log_rows[-1][2] if result.log_rows else float("nan")
     print(f"{regime}: {tcfg.steps} steps, final windowed loss {final:.4g}, "
           f"checkpoint {run / ckpt_rel}")
@@ -537,7 +554,10 @@ def cmd_translate(args) -> int:
         emit_scatter_svg(run / plot_rel, groups,
                          title=f"{args.src}->{args.tgt} ({args.mode})")
         artifacts[f"plot-translate-{args.src}-{args.tgt}"] = plot_rel
-    update_manifest(run, cfg, artifacts)
+    # a later call with other arguments replaces these files under the same names
+    made_by = {"checkpoint": args.checkpoint or "checkpoints/paired.ckpt", "eta": eta,
+               "n": len(x_src), "seed": args.seed, "steps": args.steps}
+    update_manifest(run, cfg, artifacts, {name: made_by for name in artifacts})
     print(f"translate: {args.src}->{args.tgt} mode={args.mode} "
           f"steps={result.total_steps} wrote {run / rel}")
     return 0
@@ -557,7 +577,7 @@ def cmd_eval(args) -> int:
         config_hash=config_hash(cfg))
     rel = f"reports/eval-{args.mode}-{args.directions}.csv"
     metrics.write_report_csv(run / rel, report)
-    update_manifest(run, cfg, {f"eval-{args.mode}-{args.directions}": rel})
+    update_manifest(run, cfg, {f"eval-{args.mode}-{args.directions}": rel}, {})
     for rec in report.records:
         print(f"eval: {rec.src}->{rec.tgt} mode={rec.mode} "
               f"sliced_w2={rec.sliced_w2:.4g} mmd={rec.mmd:.4g} "
@@ -609,7 +629,7 @@ def cmd_ablate(args) -> int:
         emit_line_svg(run / plot_rel, [(args.sweep, xs, ys)],
                       title=f"sliced W2 vs {args.sweep}")
         artifacts[f"plot-ablate-{args.sweep}"] = plot_rel
-    update_manifest(run, cfg, artifacts)
+    update_manifest(run, cfg, artifacts, {})
     for row in rows:
         print(f"ablate: {row[0]}={row[1]} sliced_w2={row[2] or 'n/a'} [{row[3]}]")
     return 0

@@ -29,9 +29,15 @@ GLYPH_DIM = GLYPH_SIDE * GLYPH_SIDE
 DATASET_MAGIC = "diffrouter-dataset"
 
 
-def check_labels(K: int, *labels: int) -> None:
-    """Refuse any domain label outside [0, K)."""
+def check_labels(K: int, *labels) -> None:
+    """Refuse any domain label outside [0, K). A label is an int or an int
+    array of per-row labels; the message names an array's first bad label."""
     for lbl in labels:
+        if isinstance(lbl, np.ndarray):  # ints stay on the cheap comparison below
+            bad = lbl[(lbl < 0) | (lbl >= K)]
+            if not bad.size:
+                continue
+            lbl = bad[0]
         if not 0 <= lbl < K:
             raise ValueError(f"domain label {lbl} out of range [0, {K})")
 

@@ -3,7 +3,8 @@
 The backbone consumes the concatenation
 [x_t | x_src | time_features(t) | emb[tgt] | emb[src]] and emits a length-d
 noise estimate. One parameter set serves every (src, tgt) direction; the
-domain embedding table is trained jointly with the backbone.
+domain embedding table is trained jointly with the backbone. Like t, each
+label is an int for the whole batch or a (B,) int array of per-row labels.
 
 The backbone runs in the dtype of its weights. Training keeps a float64
 master copy and runs each step on a float32 cast of it (see train.py); a
@@ -13,11 +14,10 @@ as float64 either way.
 All parameters live in one contiguous vector, `RouterParams.flat`: the
 backbone weights and biases, layer by layer, then the embedding table, in
 `param_list()` order, which is also the checkpoint block order. The arrays
-the backbone and `domain_emb` expose are views into it. A gradient is a
-vector of the same layout and dtype (`RouterGrads.flat`), so adding, scaling
-and the optimizer step are each one operation on one array. A reference
-predictor, such as the finetune teacher, is a RouterParams holding a copy of
-`flat`.
+the backbone and `domain_emb` expose are views into it. A gradient is a flat
+vector of the same layout and dtype, so adding, scaling and the optimizer
+step are each one operation on one array. A reference predictor, such as the
+finetune teacher, is a RouterParams holding a copy of `flat`.
 """
 
 import functools
@@ -67,15 +67,15 @@ class RouterParams:
     def param_list(self) -> list[np.ndarray]:
         return self.backbone.param_list() + [self.domain_emb]
 
-    def __call__(self, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
+    def __call__(self, x_t, t, x_src, tgt, src) -> np.ndarray:
         return predict_noise(self, x_t, t, x_src, tgt, src)
 
 
 @dataclass
 class RouterGrads:
-    """The gradient of RouterParams.flat, in its layout and dtype;
-    `domain_emb` is a view of its tail. The in-place sum and scale are
-    methods so that perfbench/tracer.py can time them by name."""
+    """A gradient vector with a view of its embedding tail. Nothing in the
+    library uses it: it, its methods and `zeros_like_grads` stay only because
+    perfbench/tracer.py names them."""
 
     flat: np.ndarray
     domain_emb: np.ndarray
@@ -121,7 +121,7 @@ def time_table(n_timesteps: int, width: int) -> np.ndarray:
     return table
 
 
-def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
+def backbone_input(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
     """The (B, in_dim) backbone input, in the dtype of the backbone weights."""
     check_labels(params.n_domains, tgt, src)
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
@@ -144,36 +144,36 @@ def backbone_input(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> n
     return inp
 
 
-def predict_noise(params: RouterParams, x_t, t, x_src, tgt: int, src: int) -> np.ndarray:
+def predict_noise(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
     """Noise estimate for x_t at step t, conditioned on the source sample and
-    the (tgt, src) label pair. Accepts a single vector or a (B, d) batch; t may
-    be a scalar or per-row array. Returns float64."""
+    the (tgt, src) label pair. Accepts a single vector or a (B, d) batch; t,
+    tgt and src may each be a scalar or a per-row array. Returns float64."""
     squeeze = np.asarray(x_t).ndim == 1
     inp = backbone_input(params, x_t, t, x_src, tgt, src)
     out = netcore.forward(params.backbone, inp).astype(np.float64, copy=False)
     return out[0] if squeeze else out
 
 
-def forward_cached(params: RouterParams, x_t, t, x_src, tgt: int, src: int):
+def forward_cached(params: RouterParams, x_t, t, x_src, tgt, src):
     inp = backbone_input(params, x_t, t, x_src, tgt, src)
     out, cache = netcore.forward_cached(params.backbone, inp)
     return out, (cache, tgt, src)
 
 
-def backward(params: RouterParams, cache, output_grad: np.ndarray) -> RouterGrads:
-    """Gradients of <output, output_grad> with respect to every parameter;
-    the backbone's are written straight into the new gradient vector."""
+def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray:
+    """The gradient of <output, output_grad> as a vector in the layout and
+    dtype of `params.flat`; each row's embedding gradient goes to its labels."""
     net_cache, tgt, src = cache
-    flat = np.empty_like(params.flat)
-    *net_grads, emb_grad = _param_views(params, flat)
+    grads = np.empty_like(params.flat)
+    *net_grads, emb_grad = _param_views(params, grads)
     emb_grad[:] = 0.0
     _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     gx = np.atleast_2d(gx)
-    E = params.emb_dim
+    B, E = gx.shape[0], params.emb_dim
     lo = 2 * params.data_dim + params.time_dim
-    emb_grad[tgt] += gx[:, lo:lo + E].sum(axis=0)
-    emb_grad[src] += gx[:, lo + E:lo + 2 * E].sum(axis=0)
-    return RouterGrads(flat=flat, domain_emb=emb_grad)
+    np.add.at(emb_grad, np.broadcast_to(tgt, B), gx[:, lo:lo + E])
+    np.add.at(emb_grad, np.broadcast_to(src, B), gx[:, lo + E:lo + 2 * E])
+    return grads
 
 
 def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:

@@ -91,6 +91,8 @@ def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Bridg
     """Brownian-bridge coefficients with noise scale `scale`."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not (np.isfinite(scale) and scale > 0.0):  # sigma would be 0 or nan throughout
+        raise ValueError(f"bridge scale must be finite and positive, got {scale}")
     tau = np.arange(T + 1) / T
     alpha = 1.0 - tau
     beta = tau

@@ -16,7 +16,9 @@ a `BridgeSchedule` bridges the pair's two sides and supports paired training onl
 Training keeps a float64 master vector (`RouterParams.flat`) and float64
 AdamW state, and computes in float32: after each update the master vector is
 cast once into a float32 compute copy, whose forward and backward passes give
-a float32 gradient that is widened once for the AdamW step.
+a float32 gradient that is widened once for the AdamW step. A gradient is a
+flat vector in the layout of `RouterParams.flat`. Labels are per row, so a
+paired step is one forward and one backward pass over both directions.
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -33,7 +35,7 @@ import numpy as np
 from . import router as router_mod
 from .datagen import PairedDataset, Topology
 from .netcore import DivergenceError, OptimizerState, optimizer_step
-from .router import RouterGrads, RouterParams, freeze
+from .router import RouterParams, freeze
 from .sample import route_path
 from .schedules import BridgeSchedule, DiffusionSchedule
 
@@ -79,14 +81,15 @@ def _corrupt(x_tgt, x_src, t, eps, sch):
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
                      sch, rng: np.random.Generator, *,
                      topo: Topology | None = None, predict_fn=None, zeta=None
-                     ) -> tuple[float, RouterGrads | None]:
+                     ) -> tuple[float, np.ndarray | None]:
     """One evaluation of the bidirectional paired objective on a batch.
 
     Per example: t ~ U(1, T), eps ~ N(0, I), zeta ~ Bernoulli(0.5); the
     zeta-selected side of the pair is corrupted and only that direction's
-    squared noise-prediction error contributes. Returns the mean per-example
-    loss and the gradients of `params`. A `predict_fn` stands in for params
-    and computes no gradients: the second value is then None.
+    squared noise-prediction error contributes; zeta = 1 corrupts the a side.
+    Returns the mean per-example loss and the gradient of `params.flat`. A
+    `predict_fn` stands in for params and computes no gradient: the second
+    value is then None.
     """
     if topo is not None and not topo.is_edge(*ds.edge):
         raise ValueError(f"dataset edge {ds.edge} is not a topology edge; "
@@ -98,25 +101,19 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     eps = rng.standard_normal(xa.shape)
     if zeta is None:
         zeta = rng.integers(0, 2, size=B)
-    zeta = np.asarray(zeta)
-
-    loss = 0.0
-    grads = router_mod.zeros_like_grads(params) if predict_fn is None else None
-    for flag, (x_tgt, x_src, tgt, src) in ((1, (xa, xb, ds.edge[0], ds.edge[1])),
-                                           (0, (xb, xa, ds.edge[1], ds.edge[0]))):
-        mask = zeta == flag
-        if not np.any(mask):
-            continue
-        x_t = _corrupt(x_tgt[mask], x_src[mask], t[mask], eps[mask], sch)
-        if predict_fn is not None:
-            pred = predict_fn(x_t, t[mask], x_src[mask], tgt, src)
-        else:
-            pred, cache = router_mod.forward_cached(params, x_t, t[mask], x_src[mask], tgt, src)
-        resid = pred - eps[mask]
-        loss += float(np.sum(resid * resid)) / B
-        if grads is not None:
-            grads.add_(router_mod.backward(params, cache, 2.0 * resid / B))
-    return loss, grads
+    to_a = np.asarray(zeta) == 1
+    a, b = ds.edge
+    x_tgt = np.where(to_a[:, None], xa, xb)
+    x_src = np.where(to_a[:, None], xb, xa)
+    tgt, src = np.where(to_a, a, b), np.where(to_a, b, a)
+    x_t = _corrupt(x_tgt, x_src, t, eps, sch)
+    if predict_fn is None:
+        pred, cache = router_mod.forward_cached(params, x_t, t, x_src, tgt, src)
+    else:
+        pred = predict_fn(x_t, t, x_src, tgt, src)
+    resid = pred - eps
+    grads = router_mod.backward(params, cache, 2.0 * resid / B) if predict_fn is None else None
+    return float(np.sum(resid * resid)) / B, grads
 
 
 def tweedie_refine(ref, x_t_init: np.ndarray, t, x_c: np.ndarray, tgt: int, c: int,
@@ -141,7 +138,7 @@ def tweedie_refine(ref, x_t_init: np.ndarray, t, x_c: np.ndarray, tgt: int, c: i
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
                        sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
-                       topo: Topology) -> tuple[float, RouterGrads]:
+                       topo: Topology) -> tuple[float, np.ndarray]:
     """Distillation step for the direct mapping i -> j.
 
     batch_i / batch_c are aligned pair sides from the (i, c) dataset. The
@@ -174,28 +171,24 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
                     unpaired: tuple, cfg: TrainConfig, sch: DiffusionSchedule,
                     rng: np.random.Generator, topo: Topology
-                    ) -> tuple[float, float, float, RouterGrads]:
+                    ) -> tuple[float, float, float, np.ndarray]:
     """Combined objective lambda1 * L_unpaired + lambda2 * L_paired for one
     step. `unpaired` is (batch_i, batch_c, i, c, j, x_j_pool). Returns
-    (total, unpaired_loss, paired_loss, grads)."""
+    (total, unpaired_loss, paired_loss, grads); a term with a zero
+    coefficient is skipped."""
     if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
         raise ValueError("at least one loss coefficient must be positive")
-    grads = router_mod.zeros_like_grads(params)
-    l_unpaired = 0.0
-    l_paired = 0.0
+    l_unpaired, g_u = 0.0, 0.0
+    l_paired, g_p = 0.0, 0.0
     if cfg.lambda1 > 0.0:
         batch_i, batch_c, i, c, j, x_j_pool = unpaired
         l_unpaired, g_u = unpaired_loss_step(params, ref, batch_i, batch_c, i, c, j,
                                              x_j_pool, sch, cfg, rng, topo)
-        g_u.scale_(cfg.lambda1)
-        grads.add_(g_u)
     if cfg.lambda2 > 0.0:
         idx = rng.integers(0, len(paired_ds), size=cfg.batch_size)
         l_paired, g_p = paired_loss_step(params, paired_ds, idx, sch, rng, topo=topo)
-        g_p.scale_(cfg.lambda2)
-        grads.add_(g_p)
     total = cfg.lambda1 * l_unpaired + cfg.lambda2 * l_paired
-    return total, l_unpaired, l_paired, grads
+    return total, l_unpaired, l_paired, cfg.lambda1 * g_u + cfg.lambda2 * g_p
 
 
 @dataclass
@@ -269,10 +262,10 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     return TrainResult(params=params, log_rows=log.rows)
 
 
-def _update(opt, params: RouterParams, work: RouterParams, grads: RouterGrads) -> None:
+def _update(opt, params: RouterParams, work: RouterParams, grads: np.ndarray) -> None:
     """AdamW on the float64 master vector by the widened float32 gradient,
     then the step's one cast of the new values into the compute copy."""
-    optimizer_step(opt, [params.flat], [grads.flat.astype(np.float64)])
+    optimizer_step(opt, [params.flat], [grads.astype(np.float64)])
     np.copyto(work.flat, params.flat)
 
 

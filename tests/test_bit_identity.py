@@ -4,8 +4,9 @@ glyph views and the time-feature table.
 
 The dataset pins were produced by the per-row implementation the batched
 glyph views replaced. The checkpoint and loss-log pins come from training in
-float32 over the float64 master vector, which changed the trained weights on
-purpose; two fresh runs gave the same bytes before they were pinned. All were
+float32 over the float64 master vector, with each paired step one pass over
+both directions; both changed the trained weights on purpose, and two fresh
+runs gave the same bytes before they were pinned. All were
 made on x86-64 with numpy 2.4 and its bundled OpenBLAS. Another BLAS build may
 round the dense layers differently; there, regenerate the pins from a checkout
 of the pinning code before trusting a difference.
@@ -41,11 +42,11 @@ RUNS = {
 PINS = {
     "gaussian-star": {
         "checkpoints/direct.ckpt":
-            "e00bab1e4ecebffc04df23075e6283d8a83b5347c3ef41372a6ae16879a5fd3e",
+            "1b9191feb6a0c691e030d595f1bbadfbce381693420044ecb679e1804b4e5958",
         "checkpoints/paired.ckpt":
-            "efc0c85b23d33c439f407397218ce7436e094f60bb471ce087947fc6945e149a",
+            "900693770e3e072a9ccceef9bd0f8aab24ccc2873851dfb0c1363ebe3f9fc835",
         "checkpoints/scratch.ckpt":
-            "b78c8dc0bec34a57fcb821d83f44d3237f0f3a14539b60d7dbf9b72113eac6a8",
+            "0cba139f304843f5351c96a5345c31598aacb1cdc6575adb7236bcb69a9ae058",
         "datasets/edge_1-0.bin":
             "9909778e0630eb33a429dc6a2ab72904f77d37d581db2d6bd81c57cb7ed443d7",
         "datasets/edge_2-0.bin":
@@ -53,7 +54,7 @@ PINS = {
         "datasets/eval.bin":
             "f8a957d3c1b7a1c77ce16a7525474393fa62595d8a5185681c121465753573db",
         "logs/finetune.csv":
-            "057ef89bf9474a883c2eb303ea03e0303a16b5fd39d57aa6c5e9df9c8ce831f6",
+            "f7a4214f91b777039648b3a7b5526b3b08115313662fee5030021b0b65f5311b",
         "logs/from-scratch.csv":
             "60497ca959b6235be6cc07566a6bee88c30f4c49b05d804e7643c9e51a70ced0",
         "logs/paired-only.csv":
@@ -61,11 +62,11 @@ PINS = {
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
-            "fb26998fd0e87b1195180910836fe9b3408ad7f82fb9288392fea7cceb1124f2",
+            "b203a41ffa4763fcdc21fcb65e1e1a2676d189841390a6cbdb58d4b0cb4ce18d",
         "checkpoints/paired.ckpt":
-            "2c1c7db35167bae981dd0d44c65e3f0a0561fbcd603ce340001322bfe0f1f7db",
+            "552480b8847b7b1deac918cc06729346e4e9c49faf9978cdcb778d74806eaccb",
         "checkpoints/scratch.ckpt":
-            "819d7ebc380a89715b4ee22c1e7aa835a8ecc220d2c17620b5bd1342c1c0282d",
+            "4e07d0aa8ffb49f1c4c2f0e5f4de1ef3c2c383750790d05c99adf2484d488ec5",
         "datasets/edge_1-0.bin":
             "4922318caaf612e283163772907bbbc2b24a398a7ffbf08788d468d589fbceab",
         "datasets/edge_2-0.bin":

@@ -110,6 +110,10 @@ BAD_VALUES = [
     ("schedule.eta=inf", "schedule.eta must be finite and nonnegative, got inf"),
     ("schedule.eta=nan", "schedule.eta must be finite and nonnegative, got nan"),
     ("schedule.variant=ode", "unknown schedule variant 'ode'"),
+    ("schedule.bridge_scale=0", "schedule.bridge_scale must be finite and positive, got 0.0"),
+    ("schedule.bridge_scale=-1", "schedule.bridge_scale must be finite and positive, got -1.0"),
+    ("schedule.bridge_scale=nan", "schedule.bridge_scale must be finite and positive, got nan"),
+    ("eval.steps=-3", "eval.steps must be >= 0 (0: the full schedule), got -3"),
 ]
 
 
@@ -395,6 +399,27 @@ def test_translate_refuses_bad_arguments(trained_run, monkeypatch, capsys, argv,
     assert not list(reports.glob("translate-*"))
 
 
+def test_manifest_says_what_made_a_translate_report(trained_run, tmp_path, monkeypatch):
+    """A second translate with other arguments replaces the report under the
+    same name; the manifest holds the arguments that made the file on disk."""
+    _, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    ckpt = (trained_run[0] / "runs" / config_hash(load_config(cfg_path))
+            / "checkpoints/paired.ckpt")
+    run = _run(tmp_path, load_config(cfg_path))
+    for eta, seed in (("0", "0"), ("0.7", "4")):
+        assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
+                     "--checkpoint", str(ckpt), "--eta", eta, "--seed", seed,
+                     "--n", "20", "--steps", "5"]) == 0
+    assert (run / "reports/translate-1-2-indirect.csv").exists()
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["artifacts"]["translate-1-2-indirect"] == (
+        "reports/translate-1-2-indirect.csv")
+    assert manifest["settings"] == {"translate-1-2-indirect": {
+        "checkpoint": str(ckpt), "eta": 0.7, "n": 20, "seed": 4, "steps": 5}}
+
+
 def test_translate_defaults_to_the_schedule_eta(trained_run, tmp_path, monkeypatch):
     """Without --eta, translate samples at the run's schedule.eta."""
     _, cfg_path = trained_run
@@ -525,6 +550,26 @@ def test_checkpoint_of_another_run_is_one_line_error(trained_run, tmp_path, monk
     (run / "checkpoints/paired.ckpt").write_bytes(ckpt.read_bytes())
     assert main(["ablate", "lambda2", *flags]) == 1
     assert f"checkpoint {have} does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key, have, want", [
+    ("instance.k=4", "K", 3, 4),
+    ("instance.d=3", "data_dim", 2, 3),
+])
+def test_instance_of_another_run_is_one_line_error(workspace, capsys, override, key,
+                                                   have, want):
+    """An instance.json made for another K or d is refused, not run into an
+    IndexError inside the oracle."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["gen-data", "--config", cfg_path, "--override", override]) == 0
+    capsys.readouterr()
+    other = _run(root, load_config(cfg_path, [override])) / "datasets/instance.json"
+    other.write_bytes((_run(root, load_config(cfg_path)) / "datasets/instance.json")
+                      .read_bytes())
+    assert main(["eval", "--config", cfg_path, "--override", override]) == 1
+    assert capsys.readouterr().err == (f"error: CliError: {other}: instance {key}={have} "
+                                       f"does not match this run's {want}\n")
 
 
 def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):

@@ -76,6 +76,34 @@ def test_per_row_time(params, rng):
         assert np.allclose(batch[i], row, atol=1e-12)
 
 
+def test_per_row_labels(params, rng):
+    x_t = rng.standard_normal((5, 2))
+    x_src = rng.standard_normal((5, 2))
+    t = np.array([1, 10, 50, 100, 7])
+    tgt, src = np.array([1, 0, 2, 1, 2]), np.array([0, 1, 0, 2, 1])
+    batch = predict_noise(params, x_t, t, x_src, tgt, src)
+    for i in range(5):
+        row = predict_noise(params, x_t[i], int(t[i]), x_src[i], int(tgt[i]), int(src[i]))
+        assert np.allclose(batch[i], row, atol=1e-12)
+
+
+def test_mixed_label_backward_is_sum_of_single_label_passes(params, rng):
+    x_t = rng.standard_normal((12, 2))
+    x_src = rng.standard_normal((12, 2))
+    t = rng.integers(1, 101, size=12)
+    g_out = rng.standard_normal((12, 2))
+    tgt, src = np.tile([1, 0, 2], 4), np.tile([0, 1, 0, 2], 3)
+    _, cache = forward_cached(params, x_t, t, x_src, tgt, src)
+    mixed = backward(params, cache, g_out)
+    assert mixed.dtype == np.float64 and mixed.shape == params.flat.shape
+    total = np.zeros_like(params.flat)
+    for pair in set(zip(tgt.tolist(), src.tolist())):
+        rows = (tgt == pair[0]) & (src == pair[1])
+        _, cache = forward_cached(params, x_t[rows], t[rows], x_src[rows], *pair)
+        total += backward(params, cache, g_out[rows])
+    assert np.linalg.norm(mixed - total) <= 1e-12 * np.linalg.norm(total)
+
+
 def test_label_and_dim_validation(params, rng):
     with pytest.raises(ValueError):
         predict_noise(params, rng.standard_normal(2), 1, rng.standard_normal(2), 3, 0)
@@ -83,6 +111,12 @@ def test_label_and_dim_validation(params, rng):
         predict_noise(params, rng.standard_normal(2), 1, rng.standard_normal(2), -1, 0)
     with pytest.raises(ValueError):
         predict_noise(params, rng.standard_normal(3), 1, rng.standard_normal(2), 1, 0)
+    x = rng.standard_normal((3, 2))
+    for tgt, bad in ((np.array([1, 3, 4]), 3), (np.array([0, -1, 2]), -1)):
+        with pytest.raises(ValueError, match=rf"^domain label {bad} out of range \[0, 3\)$"):
+            predict_noise(params, x, 1, x, tgt, 0)
+        with pytest.raises(ValueError, match=rf"^domain label {bad} out of range \[0, 3\)$"):
+            predict_noise(params, x, 1, x, 0, tgt)
 
 
 def test_freeze_semantics(params, rng):
@@ -102,7 +136,8 @@ def test_embedding_gradients_finite_difference(params, rng):
     x_src = rng.standard_normal((5, 2))
     g_out = rng.standard_normal((5, 2))
     pred, cache = forward_cached(params, x_t, 9, x_src, 1, 0)
-    grads = backward(params, cache, g_out)
+    emb_grad = backward(params, cache, g_out)[-params.domain_emb.size:].reshape(
+        params.domain_emb.shape)  # the embedding table is the vector's tail
     eps = 1e-6
     for k in (0, 1):
         for e in range(params.emb_dim):
@@ -113,8 +148,8 @@ def test_embedding_gradients_finite_difference(params, rng):
             lm = float(np.sum(predict_noise(params, x_t, 9, x_src, 1, 0) * g_out))
             params.domain_emb[k, e] = orig
             fd = (lp - lm) / (2 * eps)
-            assert abs(fd - grads.domain_emb[k, e]) < 1e-5 * max(1.0, abs(fd))
-    assert np.all(grads.domain_emb[2] == 0)  # label 2 unused this pass
+            assert abs(fd - emb_grad[k, e]) < 1e-5 * max(1.0, abs(fd))
+    assert np.all(emb_grad[2] == 0)  # label 2 unused this pass
 
 
 def test_checkpoint_roundtrip(tmp_path, params, rng):

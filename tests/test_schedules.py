@@ -109,6 +109,10 @@ def test_build_errors():
         build_diffusion_schedule(100, profile="quadratic")
     with pytest.raises(ValueError):
         build_bridge_schedule(0)
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"bridge scale must be finite and positive, "
+                                             f"got {scale}"):
+            build_bridge_schedule(10, scale=scale)
 
 
 @pytest.mark.parametrize("eta", [-1.0, np.inf, np.nan])

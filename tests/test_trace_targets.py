@@ -2,7 +2,9 @@
 by name, looking each up in its owner's __dict__, and its driver
 (perfbench/run.py) calls library functions directly. A rename in the library
 would only surface when someone runs the benchmark; these tests resolve every
-tracer target and every library attribute the driver reads instead."""
+tracer target and every library attribute the driver reads instead. Some
+names stay in the library only because the benchmark reads them; a test
+checks that no library module comes to depend on them again."""
 
 import ast
 import importlib
@@ -11,6 +13,7 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 RUN = TRACER.with_name("run.py")
+SRC = TRACER.parent.parent / "src" / "diffrouter"
 MODULES = ("_kernels", "netcore", "router", "train", "sample", "datagen", "metrics", "cli")
 
 
@@ -53,3 +56,32 @@ def test_every_library_attribute_the_driver_reads_resolves():
     missing = sorted(f"{module}.{attr}" for module, attr in reads
                      if not hasattr(importlib.import_module(f"diffrouter.{module}"), attr))
     assert not missing, missing
+
+
+# defined only for perfbench/tracer.py and perfbench/run.py, which name them
+BENCHMARK_ONLY = {"zeros_like_grads", "RouterGrads", "USING_NUMBA", "all_directions",
+                  "nonedge_directions"}
+
+
+def _uses_outside_definitions(node, names):
+    """Reads of `names` in the tree of `node`, not counting the bodies of the
+    functions and classes that define them."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+        return []
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+        return [(node.lineno, node.id)]
+    if isinstance(node, ast.Attribute) and node.attr in names:
+        return [(node.lineno, node.attr)]
+    if isinstance(node, ast.alias) and node.name in names:  # from .router import RouterGrads
+        return [(node.lineno, node.name)]
+    return [use for child in ast.iter_child_nodes(node)
+            for use in _uses_outside_definitions(child, names)]
+
+
+def test_library_does_not_use_names_kept_for_the_benchmark():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    uses = [f"{path.name}:{line}: {name}" for path in modules
+            for line, name in _uses_outside_definitions(
+                ast.parse(path.read_text(encoding="utf-8")), BENCHMARK_ONLY)]
+    assert not uses, uses

@@ -39,31 +39,50 @@ def test_paired_loss_zero_for_perfect_predictor(setup, sch100):
     replay = np.random.default_rng(77)
     t = replay.integers(1, 101, size=32)
     eps = replay.standard_normal((32, 2))
-    calls = {"n": 0}
+    calls = []
 
     def perfect(x_t, t_m, x_src, tgt, src):
-        mask = zeta == (1 if calls["n"] == 0 else 0)
-        calls["n"] += 1
-        return eps[mask]
+        calls.append(t_m)
+        return eps
 
     loss, grads = paired_loss_step(params, ds, idx, sch100,
                                    np.random.default_rng(77), zeta=zeta,
                                    predict_fn=perfect)
     assert loss == 0.0 and grads is None
+    assert len(calls) == 1 and np.array_equal(calls[0], t)
 
 
 def test_paired_loss_zeta_selects_direction(setup, sch100, rng):
+    """zeta = 1 rows predict the a side from the b side, zeta = 0 rows the
+    reverse, each with its own labels, in one call."""
     topo, datasets, *_ , params = setup
     ds = datasets[0]
+    a, b = ds.edge
+    zeta = np.tile([1, 0, 0, 1], 4)
     seen = []
 
     def spy(x_t, t_m, x_src, tgt, src):
-        seen.append((tgt, src))
+        seen.append((x_src, tgt, src))
         return np.zeros_like(x_t)
 
-    paired_loss_step(params, ds, np.arange(16), sch100, rng,
-                     zeta=np.ones(16, dtype=int), predict_fn=spy)
-    assert seen == [(ds.edge[0], ds.edge[1])]  # only the zeta=1 direction
+    paired_loss_step(params, ds, np.arange(16), sch100, rng, zeta=zeta, predict_fn=spy)
+    ((x_src, tgt, src),) = seen
+    assert np.array_equal(tgt, np.where(zeta == 1, a, b))
+    assert np.array_equal(src, np.where(zeta == 1, b, a))
+    assert np.array_equal(x_src, np.where(zeta[:, None] == 1, ds.x_b[:16], ds.x_a[:16]))
+
+
+def test_paired_step_is_one_forward_and_one_backward(setup, sch100, monkeypatch):
+    topo, datasets, *_ = setup
+    calls = []
+    for name in ("forward_cached", "backward"):
+        def spy(*args, _inner=getattr(router, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(router, name, spy)
+    cfg = TrainConfig(regime="paired-only", steps=6, batch_size=16, hidden=(8,), seed=2)
+    train(cfg, topo, datasets, sch100)
+    assert calls == ["forward_cached", "backward"] * 6
 
 
 def test_paired_loss_zero_predictor_near_d(setup, sch100):
@@ -94,18 +113,19 @@ def test_zeta_fraction_balanced(setup, sch100):
     topo, datasets, *_ , params = setup
     ds = datasets[0]
     rng = np.random.default_rng(5)
-    sizes = []
+    tgts = []
 
-    def spy(x_t, *a):
-        sizes.append(np.atleast_2d(x_t).shape[0])
-        return np.zeros_like(np.atleast_2d(x_t))
+    def spy(x_t, t_m, x_src, tgt, src):
+        tgts.append(tgt)
+        return np.zeros_like(x_t)
 
     n_steps, B = 80, 128
     for _ in range(n_steps):
         paired_loss_step(params, ds, rng.integers(0, len(ds), B), sch100, rng,
                          predict_fn=spy)
-    frac = sizes[0::2] # zeta=1 sub-batches come first in each step
-    frac = np.sum(frac) / (n_steps * B)
+    labels = np.concatenate(tgts)
+    assert labels.shape == (n_steps * B,)
+    frac = np.mean(labels == ds.edge[0])  # zeta = 1 rows target the a side
     sigma = 0.5 / np.sqrt(n_steps * B)
     assert abs(frac - 0.5) < 3 * sigma + 0.01
 
@@ -203,7 +223,7 @@ def test_gradient_isolation_of_reference(setup, sch100, rng):
         loss, grads = unpaired_loss_step(params, ref, ds.x_a[:16], ds.x_b[:16],
                                          1, 0, 2, datasets[1].side(2), sch100,
                                          cfg, rng, topo)
-        optimizer_step(opt, [params.flat], [grads.flat])
+        optimizer_step(opt, [params.flat], [grads])
     for p, q in zip(ref.param_list(), ref_before):
         assert np.array_equal(p, q)
     # the student did move
@@ -282,7 +302,7 @@ def test_training_computes_in_float32_over_float64_master(setup, sch100, rng, mo
     grads = []
     for p in (params, narrow):
         _, cache = router.forward_cached(p, x_t, t, x_src, 1, 0)
-        grads.append(router.backward(p, cache, g_out).flat)
+        grads.append(router.backward(p, cache, g_out))
     wide, low = grads
     assert wide.dtype == np.float64 and low.dtype == np.float32
     assert np.linalg.norm(low - wide) <= 1e-4 * np.linalg.norm(wide)
