@@ -191,6 +191,9 @@ def _validate(cfg: ExperimentConfig) -> None:
                        f"got {cfg.time_dim}")
     if cfg.n_refine < 0 or cfg.lambda1 < 0 or cfg.lambda2 < 0:
         raise CliError("n_refine and loss coefficients must be nonnegative")
+    if cfg.lambda1 == 0 and cfg.lambda2 == 0:  # the combined loss would be empty
+        raise CliError("train.lambda1 and train.lambda2 are both 0; "
+                       "at least one loss coefficient must be positive")
     if cfg.eval_steps < 0:
         raise CliError(f"eval.steps must be >= 0 (0: the full schedule), got {cfg.eval_steps}")
     _check_eta("schedule.eta", cfg.eta)

@@ -249,8 +249,7 @@ class OracleScorePredictor:
 
 
 def _make_gaussian_instance(K: int, d: int, rng: np.random.Generator,
-                            central: int = 0, central_noise: float = 0.01,
-                            noncentral_noise: float = 0.12) -> GaussianInstance:
+                            central: int = 0, central_noise: float = 0.01) -> GaussianInstance:
     maps, offsets, noise = [], [], []
     for k in range(K):
         if k == central:
@@ -261,7 +260,7 @@ def _make_gaussian_instance(K: int, d: int, rng: np.random.Generator,
             g = rng.normal(0.0, 0.35, size=(d, d))
             maps.append(np.eye(d) * rng.uniform(0.7, 1.3) + g)
             offsets.append(rng.normal(0.0, 1.0, size=d))
-            noise.append(noncentral_noise)
+            noise.append(0.12)
     return GaussianInstance(maps=maps, offsets=offsets, noise=noise, latent_dim=d)
 
 
@@ -273,8 +272,7 @@ def _moons_latent(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([x, y]) + rng.normal(0.0, 0.05, size=(n, 2))
 
 
-def _moons_warp(z: np.ndarray, k: int, rng: np.random.Generator,
-                noise: float = 0.05) -> np.ndarray:
+def _moons_warp(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     if k == 0:
         out = z.copy()
     else:
@@ -282,7 +280,7 @@ def _moons_warp(z: np.ndarray, k: int, rng: np.random.Generator,
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         out = z @ rot.T
         out[:, 1] += 0.5 * np.tanh(out[:, 0] * k)
-    return out + rng.normal(0.0, noise, size=out.shape)
+    return out + rng.normal(0.0, 0.05, size=out.shape)
 
 
 def _glyph_prototypes() -> np.ndarray:
@@ -334,13 +332,13 @@ def _sobel_edges(imgs: np.ndarray) -> np.ndarray:
     return mag / 4.0
 
 
-def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0, scale: float = 0.8) -> np.ndarray:
-    """Each image of a stack rotated by angle_deg and shrunk by scale about
+def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0) -> np.ndarray:
+    """Each image of a stack rotated by angle_deg and shrunk by 0.8 about
     its centre: one order-1 transform whose batch axis maps to itself."""
     from scipy import ndimage
 
     ang = np.deg2rad(angle_deg)
-    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / scale
+    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / 0.8
     center = (GLYPH_SIDE - 1) / 2.0
     offset = center - rot @ np.array([center, center])
     matrix = np.eye(3)

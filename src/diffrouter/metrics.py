@@ -114,7 +114,6 @@ class MetricsRecord:
 class MetricsReport:
     records: list[MetricsRecord] = field(default_factory=list)
     config_hash: str = ""
-    seed: int = 0
 
 
 def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: str,
@@ -125,7 +124,7 @@ def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: s
     against aligned targets (RMSE) and against the target conditional
     population (sliced W2 and MMD; analytic samples when the instance is
     gaussian-affine, held-out real targets otherwise)."""
-    report = MetricsReport(config_hash=config_hash, seed=seed)
+    report = MetricsReport(config_hash=config_hash)
     rng = np.random.default_rng(seed)
     for src, tgt in directions:
         x_src = tuples.domain(src)[:n_eval]
@@ -168,17 +167,16 @@ def write_report_csv(path, report: MetricsReport) -> None:
 # ---------------------------------------------------------------------------
 # executable derivation checks
 
-def nested_vs_direct_kl(inst: GaussianInstance, central: int, src: int, tgt: int,
-                        model_mean_shift: float = 0.3, model_var_scale: float = 1.2,
-                        grid_points: int = 121, half_width: float = 7.0
-                        ) -> tuple[float, float]:
+def nested_vs_direct_kl(inst: GaussianInstance, central: int, src: int,
+                        tgt: int) -> tuple[float, float]:
     """Numerical check that the nested-expectation decomposition of the
     expected conditional KL equals its direct form on a 1-D instance.
 
-    The model conditional q(x_tgt | x_src) is the analytic conditional with a
-    shifted mean and scaled variance, so the KL is nonzero. Returns
-    (nested_value, direct_value), both by trapezoid quadrature.
+    The model conditional q(x_tgt | x_src) is the analytic conditional with its
+    mean shifted by 0.3 and its variance scaled by 1.2, so the KL is nonzero.
+    Returns (nested_value, direct_value), both by trapezoid quadrature.
     """
+    grid_points, half_width = 121, 7.0  # per axis; half-width in std devs
     if inst.data_dim != 1:
         raise ValueError("decomposition check uses a 1-D instance")
 
@@ -212,8 +210,8 @@ def nested_vs_direct_kl(inst: GaussianInstance, central: int, src: int, tgt: int
 
     mean_j_of_i, var_j_i = cond(src, tgt, gi)
     p_j_given_i = gauss(gj[None, :], mean_j_of_i[:, None], var_j_i)  # (ni, nj)
-    q_mean = mean_j_of_i + model_mean_shift
-    q_var = var_j_i * model_var_scale
+    q_mean = mean_j_of_i + 0.3
+    q_var = var_j_i * 1.2
     q_j_given_i = gauss(gj[None, :], q_mean[:, None], q_var)
 
     # inner mixture: integral over x'_c of p(x'_c | x_i) p(x_j | x'_c)
@@ -227,8 +225,7 @@ def nested_vs_direct_kl(inst: GaussianInstance, central: int, src: int, tgt: int
     return nested, direct
 
 
-def pathwise_kl_bound_trial(rng: np.random.Generator, n_steps: int = 8,
-                            n_samples: int = 2000) -> tuple[float, float, float]:
+def pathwise_kl_bound_trial(rng: np.random.Generator) -> tuple[float, float, float]:
     """One MC trial of the pathwise bound: the per-step transition KL sum of
     two linear-Gaussian reverse processes upper-bounds the KL between their
     endpoint marginals.
@@ -237,6 +234,7 @@ def pathwise_kl_bound_trial(rng: np.random.Generator, n_steps: int = 8,
     x_{t-1} = A_t x_t + b_t + sqrt(v_t) xi; they differ in the shift b_t.
     Returns (per_step_sum_mc, endpoint_kl_mc, endpoint_std_err).
     """
+    n_steps, n_samples = 8, 2000
     A = rng.uniform(0.8, 1.0, size=n_steps)
     b_ref = rng.normal(0.0, 0.3, size=n_steps)
     b_mod = b_ref + rng.normal(0.0, 0.25, size=n_steps)

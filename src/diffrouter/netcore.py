@@ -46,15 +46,14 @@ class DenseNet:
         return out
 
 
-def init_dense(widths: list[int], rng: np.random.Generator, activation: str = "silu",
-               scale: float | None = None) -> DenseNet:
+def init_dense(widths: list[int], rng: np.random.Generator,
+               activation: str = "silu") -> DenseNet:
     """He-style Gaussian init; biases start at zero."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unsupported activation {activation!r}")
     weights, biases = [], []
     for n_in, n_out in zip(widths[:-1], widths[1:]):
-        s = scale if scale is not None else np.sqrt(2.0 / n_in)
-        weights.append(rng.normal(0.0, s, size=(n_out, n_in)))
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_out, n_in)))
         biases.append(np.zeros(n_out))
     return DenseNet(weights=weights, biases=biases, activation=activation)
 

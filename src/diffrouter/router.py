@@ -41,16 +41,20 @@ KIND_DIRECT = "direct"
 @dataclass
 class RouterParams:
     """Router parameters. On construction the backbone arrays and `domain_emb`
-    become views into `flat`, which is built from them when not given."""
+    become views into `flat`, which is built from them when not given.
+
+    The shape is read off the arrays, never passed: `data_dim` is the output
+    width, `n_domains` the rows of `domain_emb`, and `time_dim` what is left
+    of the layer-0 input width [x_t | x_src | time | emb_tgt | emb_src]."""
 
     backbone: DenseNet
     domain_emb: np.ndarray  # (K, E)
-    data_dim: int
-    n_domains: int
     n_timesteps: int
-    time_dim: int = DEFAULT_TIME_DIM
     kind: str = KIND_PAIRED
     flat: np.ndarray | None = field(default=None, repr=False)
+    data_dim: int = field(init=False)
+    n_domains: int = field(init=False)
+    time_dim: int = field(init=False)
 
     def __post_init__(self):
         if self.flat is None:
@@ -59,6 +63,9 @@ class RouterParams:
         self.backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2],
                                  activation=self.backbone.activation)
         self.domain_emb = arrays[-1]
+        self.data_dim = self.backbone.weights[-1].shape[0]
+        self.n_domains = self.domain_emb.shape[0]
+        self.time_dim = self.backbone.weights[0].shape[1] - 2 * (self.data_dim + self.emb_dim)
 
     @property
     def emb_dim(self) -> int:
@@ -97,8 +104,7 @@ def init_router(data_dim: int, n_domains: int, n_timesteps: int,
     if out_scale != 1.0:
         backbone.weights[-1] *= out_scale
     domain_emb = rng.normal(0.0, 0.1, size=(n_domains, emb_dim))
-    return RouterParams(backbone=backbone, domain_emb=domain_emb, data_dim=data_dim,
-                        n_domains=n_domains, n_timesteps=n_timesteps, time_dim=time_dim)
+    return RouterParams(backbone=backbone, domain_emb=domain_emb, n_timesteps=n_timesteps)
 
 
 def time_features(t, n_timesteps: int, width: int) -> np.ndarray:
@@ -221,13 +227,14 @@ def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None
 
 def load_checkpoint(path) -> tuple[RouterParams, dict]:
     """Parameters at the float32 the file stores, and the header. Raises
-    ValueError if the blocks do not match the layout the header gives."""
+    ValueError if the blocks do not match the layout the header gives, or if
+    the header's data_dim or time_dim disagrees with the shape of the arrays."""
     header, arrays = netcore.load_params(path)
     with _blockfile.header_fields(path):
         widths = [int(w) for w in header["widths"].split(",")]
         n_domains, emb_dim = int(header["n_domains"]), int(header["emb_dim"])
-        data_dim, n_timesteps = int(header["data_dim"]), int(header["n_timesteps"])
-        time_dim, activation = int(header["time_dim"]), header["activation"]
+        stated = {"data_dim": int(header["data_dim"]), "time_dim": int(header["time_dim"])}
+        n_timesteps, activation = int(header["n_timesteps"]), header["activation"]
     if activation not in netcore.ACTIVATIONS:
         raise ValueError(f"{path}: unsupported activation {activation!r}")
     # per layer a (out, in) weight and an (out,) bias, then the embedding table
@@ -236,9 +243,12 @@ def load_checkpoint(path) -> tuple[RouterParams, dict]:
     _blockfile.check_sizes(path, arrays, [math.prod(s) for s in shapes])
     arrays = [a.reshape(s) for a, s in zip(arrays, shapes)]
     backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2], activation=activation)
-    params = RouterParams(backbone=backbone, domain_emb=arrays[-1], data_dim=data_dim,
-                          n_domains=n_domains, n_timesteps=n_timesteps,
-                          time_dim=time_dim, kind=header.get("kind", KIND_PAIRED))
+    params = RouterParams(backbone=backbone, domain_emb=arrays[-1], n_timesteps=n_timesteps,
+                          kind=header.get("kind", KIND_PAIRED))
+    for key, value in stated.items():
+        if value != getattr(params, key):
+            raise ValueError(f"{path}: header {key}={value} does not match the "
+                             f"arrays' {getattr(params, key)}")
     return params, header
 
 

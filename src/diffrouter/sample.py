@@ -16,7 +16,8 @@ import numpy as np
 
 from .datagen import Topology, check_labels
 from .router import KIND_DIRECT
-from .schedules import BridgeSchedule, DiffusionSchedule, bridge_reverse_std, reverse_variance
+from .schedules import (BridgeSchedule, DiffusionSchedule, bridge_reverse_std, prev_step,
+                        reverse_variance)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,7 @@ def reverse_step_diffusion(predictor, x_t, t: int, x_src, tgt: int, src: int,
     mu = (a_prev/a_t) x_t + (sqrt(sigma_prev^2 - omega^2) - sigma_t a_prev / a_t) eps_hat.
     Noise is suppressed on the final step to t_prev = 0, so outputs are means.
     """
-    if not 1 <= t <= sch.T:
-        raise ValueError(f"t={t} out of range [1, {sch.T}]")
-    if t_prev is None:
-        t_prev = t - 1
+    t_prev = prev_step(sch, t, t_prev)
     eps_hat = predictor(x_t, t, x_src, tgt, src)
     omega = reverse_variance(sch, t, t_prev)
     a_p, a_t = sch.a[t_prev], sch.a[t]
@@ -94,10 +92,7 @@ def reverse_step_bridge(predictor, x_t, t: int, y, tgt: int, src: int,
     clean sample is approximated by the endpoint itself, giving
     x_prev = (alpha_prev + beta_prev) y + sigma_prev * xi with O(1/T) bias.
     """
-    if not 1 <= t <= sch.T:
-        raise ValueError(f"t={t} out of range [1, {sch.T}]")
-    if t_prev is None:
-        t_prev = t - 1
+    t_prev = prev_step(sch, t, t_prev)
     y = np.asarray(y)
     a_p, a_t = sch.alpha[t_prev], sch.alpha[t]
     b_p, b_t = sch.beta[t_prev], sch.beta[t]

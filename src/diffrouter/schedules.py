@@ -102,18 +102,26 @@ def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Bridg
     return BridgeSchedule(T=T, alpha=alpha, beta=beta, sigma=sigma, eta=eta)
 
 
-def reverse_variance(sch: DiffusionSchedule, t: int, t_prev: int | None = None) -> float:
-    """Std of the DDIM reverse step from t to t_prev (default t-1).
-
-    omega^2 = eta^2 sigma_prev^2 (1 - (sigma_prev^2/sigma_t^2)(a_t^2/a_prev^2));
-    zero when eta = 0 and at the final step to t_prev = 0.
-    """
+def prev_step(sch: DiffusionSchedule | BridgeSchedule, t: int, t_prev: int | None) -> int:
+    """The step a reverse step from t lands on: t_prev, or t - 1 when None.
+    Every reverse step checks its steps here first: 1 <= t <= T and
+    0 <= t_prev < t, else ValueError."""
     if not 1 <= t <= sch.T:
         raise ValueError(f"t={t} out of range [1, {sch.T}]")
     if t_prev is None:
         t_prev = t - 1
     if not 0 <= t_prev < t:
         raise ValueError(f"t_prev={t_prev} must lie in [0, {t})")
+    return t_prev
+
+
+def reverse_variance(sch: DiffusionSchedule, t: int, t_prev: int | None = None) -> float:
+    """Std of the DDIM reverse step from t to t_prev (default t-1).
+
+    omega^2 = eta^2 sigma_prev^2 (1 - (sigma_prev^2/sigma_t^2)(a_t^2/a_prev^2));
+    zero when eta = 0 and at the final step to t_prev = 0.
+    """
+    t_prev = prev_step(sch, t, t_prev)
     if sch.eta == 0.0 or t_prev == 0:
         return 0.0
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
@@ -130,12 +138,7 @@ def bridge_reverse_std(sch: BridgeSchedule, t: int, t_prev: int | None = None) -
     delta * sigma_prev / sigma_t, matching the exact Brownian-bridge posterior
     at eta = 1.
     """
-    if not 1 <= t <= sch.T:
-        raise ValueError(f"t={t} out of range [1, {sch.T}]")
-    if t_prev is None:
-        t_prev = t - 1
-    if not 0 <= t_prev < t:
-        raise ValueError(f"t_prev={t_prev} must lie in [0, {t})")
+    t_prev = prev_step(sch, t, t_prev)
     if sch.eta == 0.0 or sch.sigma[t] == 0.0 or sch.sigma[t_prev] == 0.0:
         return 0.0
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]

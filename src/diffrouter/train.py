@@ -198,8 +198,7 @@ class TrainResult:
 
 
 class _WindowLog:
-    def __init__(self, window: int):
-        self.window = window
+    def __init__(self):
         self.acc: dict[str, list[float]] = {}
         self.rows: list[tuple[int, str, float, float]] = []
 
@@ -208,9 +207,7 @@ class _WindowLog:
 
     def flush(self, step: int, lr: float) -> None:
         for direction in sorted(self.acc):
-            vals = self.acc[direction]
-            if vals:
-                self.rows.append((step, direction, float(np.mean(vals)), lr))
+            self.rows.append((step, direction, float(np.mean(self.acc[direction])), lr))
         self.acc = {}
 
 
@@ -243,7 +240,7 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     lr = cfg.finetune_lr if cfg.regime == "finetune" else cfg.lr
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
     opt = OptimizerState(lr=lr, warmup_steps=warmup)
-    log = _WindowLog(cfg.log_window)
+    log = _WindowLog()
     work = replace(params, flat=params.flat.astype(np.float32))
 
     if cfg.regime == "paired-only":

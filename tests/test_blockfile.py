@@ -20,7 +20,7 @@ def _fixed_checkpoint(path):
     biases = [np.arange(n_out) / 3.0 for n_out in widths[1:]]
     params = router.RouterParams(backbone=DenseNet(weights=weights, biases=biases),
                                  domain_emb=np.arange(6.0).reshape(3, 2) / 11.0,
-                                 data_dim=2, n_domains=3, n_timesteps=10, time_dim=4)
+                                 n_timesteps=10)
     router.save_checkpoint(path, params, extra_header={"config_hash": "0123abcd"})
 
 

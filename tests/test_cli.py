@@ -138,6 +138,21 @@ def test_validation_errors(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_both_loss_coefficients_zero_is_refused_at_load(tmp_path, monkeypatch, capsys):
+    """lambda1 = lambda2 = 0 leaves finetuning no loss; the config is refused
+    as one line naming both keys, before any stage makes a run directory."""
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    flags = ["--override", "train.lambda1=0", "--override", "train.lambda2=0"]
+    for stage in ("gen-data", "train-paired", "finetune-direct", "train-scratch"):
+        assert main([stage, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CliError: ") and err.count("\n") == 1, err
+        assert "train.lambda1 and train.lambda2 are both 0" in err, err
+    assert not (tmp_path / "runs").exists()
+    for one_term in ("train.lambda1=0", "train.lambda2=0"):
+        load_config(None, [one_term])
+
+
 def test_config_hash_properties(tmp_path, monkeypatch):
     a = load_config(None, ["schedule.t=25", "run.seed=9"])
     b = load_config(None, ["run.seed=9", "schedule.t=25"])
@@ -498,6 +513,8 @@ def test_train_config_takes_every_shared_key(workspace, monkeypatch):
     ("version-99", "version 99"),
     ("dataset-file", "not a diffrouter-checkpoint file"),
     ("activation-tanh", "unsupported activation 'tanh'"),
+    ("data_dim-3", "header data_dim=3 does not match the arrays' 2"),
+    ("time_dim-14", "header time_dim=14 does not match the arrays' 16"),
 ])
 def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch,
                                               capsys, damage, expect):
@@ -514,6 +531,9 @@ def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch
         "dataset-file": lambda: (run / "datasets/eval.bin").read_bytes(),
         "activation-tanh": lambda: blob.replace(b"\nactivation=silu\n",
                                                 b"\nactivation=tanh\n", 1),
+        # a header shape the arrays do not have
+        "data_dim-3": lambda: blob.replace(b"\ndata_dim=2\n", b"\ndata_dim=3\n", 1),
+        "time_dim-14": lambda: blob.replace(b"\ntime_dim=16\n", b"\ntime_dim=14\n", 1),
     }[damage]()
     assert damaged != blob
     path = tmp_path / "damaged.ckpt"

@@ -167,6 +167,19 @@ def test_checkpoint_roundtrip(tmp_path, params, rng):
     assert np.max(np.abs(a - b)) < 1e-5  # float32 storage
 
 
+def test_shape_is_read_off_the_arrays(tmp_path, rng):
+    params = init_router(3, 4, 10, [8], rng, time_dim=6, emb_dim=5)
+    assert (params.data_dim, params.n_domains, params.time_dim) == (3, 4, 6)
+    assert params.backbone.widths[0] == 2 * 3 + 6 + 2 * 5
+    save_checkpoint(tmp_path / "r.ckpt", params)
+    back, header = load_checkpoint(tmp_path / "r.ckpt")
+    assert (back.data_dim, back.n_domains, back.time_dim) == (3, 4, 6)
+    assert (header["data_dim"], header["n_domains"], header["time_dim"]) == ("3", "4", "6")
+    with pytest.raises(TypeError):  # the shape is not a setting
+        router.RouterParams(backbone=params.backbone, domain_emb=params.domain_emb,
+                            n_timesteps=10, data_dim=3, n_domains=4, time_dim=6)
+
+
 def test_out_scale_shrinks_output_layer(rng):
     a = init_router(2, 3, 100, [8], np.random.default_rng(3))
     b = init_router(2, 3, 100, [8], np.random.default_rng(3), out_scale=0.01)

@@ -91,6 +91,16 @@ def test_reverse_step_t_range(sch100, rng):
                                1, 0, sch100, rng)
 
 
+def test_bridge_step_checks_t_prev_first(rng):
+    """A t_prev outside [0, t) is refused before any table is read: -1 would
+    read alpha[-1], 25 past the end of a T=20 table."""
+    sch = build_bridge_schedule(20)
+    y = rng.standard_normal(2)
+    for t, t_prev in ((20, -1), (10, 25)):
+        with pytest.raises(ValueError, match=rf"t_prev={t_prev} must lie in \[0, {t}\)"):
+            reverse_step_bridge(_zero_predictor, y, t, y, 1, 0, sch, rng, t_prev=t_prev)
+
+
 def test_oracle_chain_matches_analytic_marginal(small_star, sch100):
     """Exact-score sampling reproduces the analytic conditional within
     sliced-W2 < 0.05 on 5000 samples."""

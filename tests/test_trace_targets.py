@@ -4,7 +4,9 @@ by name, looking each up in its owner's __dict__, and its driver
 would only surface when someone runs the benchmark; these tests resolve every
 tracer target and every library attribute the driver reads instead. Some
 names stay in the library only because the benchmark reads them; a test
-checks that no library module comes to depend on them again."""
+checks that no library module comes to depend on them again. A refactor that
+routes around a traced function would read 0 in that span's per-layer
+metrics; a tiny traced pipeline checks that every span is reached."""
 
 import ast
 import importlib
@@ -17,17 +19,48 @@ SRC = TRACER.parent.parent / "src" / "diffrouter"
 MODULES = ("_kernels", "netcore", "router", "train", "sample", "datagen", "metrics", "cli")
 
 
-def test_every_trace_target_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     mods = {name: importlib.import_module(f"diffrouter.{name}") for name in MODULES}
+    return tracer, mods
+
+
+def test_every_trace_target_resolves():
+    tracer, mods = _load_tracer()
     targets = tracer.targets(mods)
     assert targets
     missing = [f"{span}: {getattr(owner, '__name__', owner)}.{attr}"
                for span, owner, attr, _ in targets
                if not callable(owner.__dict__.get(attr))]
     assert not missing, missing
+
+
+# the benchmark's six stages, on a run small enough to take well under a second
+PIPELINE = (["gen-data"], ["train-paired"], ["finetune-direct"], ["train-scratch"],
+            ["eval", "--mode", "indirect", "--directions", "all"],
+            ["eval", "--mode", "direct", "--directions", "nonedges"])
+TINY_RUN = ("instance.n_train=300", "instance.n_eval_tuples=300", "schedule.t=5",
+            "train.steps=5", "train.finetune_steps=5", "train.scratch_steps=5",
+            "network.hidden=8", "eval.n_eval=100")
+
+
+def test_every_traced_span_is_reached(tmp_path, monkeypatch):
+    tracer_mod, mods = _load_tracer()
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    flags = [a for ov in TINY_RUN for a in ("--override", ov)]
+    mods["router"].time_table.cache_clear()  # else a cached table skips time_features
+    tracer = tracer_mod.Tracer()
+    tracer.install(mods)
+    try:
+        for argv in PIPELINE:
+            assert mods["cli"].main([*argv, *flags]) == 0, argv
+    finally:
+        tracer.uninstall()
+    spans = {span for span, *_ in tracer_mod.targets(mods)}
+    unreached = sorted(s for s in spans if not tracer.counters[f"{s}.calls"])
+    assert unreached == ["router.grads"]  # the gradient shims have no caller
 
 
 # the names run.py gives the library modules it reads from
