@@ -3,10 +3,18 @@
 The kernels compute in the dtype of their inputs (float32 for the dense
 layers of training and inference, float64 for AdamW on the master vector and
 for the gradient checks) and reuse one work array through `out=` ufuncs.
-Their float64 results are bit-identical to the plain expressions
-`h @ w.T + b`, `z * (1 / (1 + exp(-z)))` and `s * (1 + z * (1 - s))`. The
-MMD sums expand squared distances as ||a||^2 + ||b||^2 - 2 a.b^T, so they
-agree with the direct double sums to rounding.
+Their results are bit-identical to the plain expressions `h @ w.T + b`,
+`u * (1 + tanh(u))` with u = z / 2, and `s * (1 + z * (1 - s))` with
+s = (1 + tanh(z / 2)) / 2. SiLU is z * sigmoid(z), and sigmoid(z) is
+(1 + tanh(z / 2)) / 2: the tanh form needs no exp, which can overflow, and no
+divide. One kernel serves training and inference.
+
+`affine`'s bias may be a (B, out) block as well as an (out,) vector: a
+forward-only router call passes layer 0's precomputed source, label and bias
+block there (see router.condition), so that only the x_t columns are
+multiplied per step. The MMD sums expand squared distances as
+||a||^2 + ||b||^2 - 2 a.b^T, so they agree with the direct double sums to
+rounding.
 """
 
 import numpy as np
@@ -15,23 +23,19 @@ import numpy as np
 USING_NUMBA = False
 
 
-def _sigmoid(z):
-    """New array holding 1 / (1 + exp(-z)). exp overflows to inf for very
-    negative z, which gives the correct limit 0, so that warning is muted."""
-    s = np.negative(z)
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
-
-
 def silu(z):
-    s = _sigmoid(z)
-    return np.multiply(z, s, out=s)
+    u = np.multiply(z, 0.5)
+    out = np.tanh(u)
+    out += 1.0
+    out *= u
+    return out
 
 
 def silu_grad(z):
-    s = _sigmoid(z)
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
     out = np.subtract(1.0, s)
     out *= z
     out += 1.0

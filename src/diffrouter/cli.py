@@ -523,6 +523,12 @@ def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
     return params
 
 
+def _mode_checkpoint(mode: str) -> str:
+    """The run's checkpoint that `eval` and `translate` load under `mode`
+    unless --checkpoint names another."""
+    return "direct.ckpt" if mode == "direct" else "paired.ckpt"
+
+
 def cmd_translate(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
@@ -532,8 +538,10 @@ def cmd_translate(args) -> int:
     eta = cfg.eta if args.eta is None else args.eta
     _check_eta("--eta", eta)
     n = args.n or cfg.n_eval
+    datagen.check_labels(topo.K, args.src, args.tgt)
     x_src = tuples.domain(args.src)[:n]
-    params = _load_predictor(run, cfg, args.checkpoint, "paired.ckpt")
+    default_ckpt = _mode_checkpoint(args.mode)
+    params = _load_predictor(run, cfg, args.checkpoint, default_ckpt)
     sch = replace(build_schedule(cfg), eta=eta)
     req = TranslationRequest(x_src=x_src, src=args.src, tgt=args.tgt,
                              mode=args.mode, steps=args.steps, seed=args.seed)
@@ -558,8 +566,8 @@ def cmd_translate(args) -> int:
                          title=f"{args.src}->{args.tgt} ({args.mode})")
         artifacts[f"plot-translate-{args.src}-{args.tgt}"] = plot_rel
     # a later call with other arguments replaces these files under the same names
-    made_by = {"checkpoint": args.checkpoint or "checkpoints/paired.ckpt", "eta": eta,
-               "n": len(x_src), "seed": args.seed, "steps": args.steps}
+    made_by = {"checkpoint": args.checkpoint or f"checkpoints/{default_ckpt}",
+               "eta": eta, "n": len(x_src), "seed": args.seed, "steps": args.steps}
     update_manifest(run, cfg, artifacts, {name: made_by for name in artifacts})
     print(f"translate: {args.src}->{args.tgt} mode={args.mode} "
           f"steps={result.total_steps} wrote {run / rel}")
@@ -570,8 +578,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
-    default_ckpt = "direct.ckpt" if args.mode == "direct" else "paired.ckpt"
-    params = _load_predictor(run, cfg, args.checkpoint, default_ckpt)
+    params = _load_predictor(run, cfg, args.checkpoint, _mode_checkpoint(args.mode))
     sch = build_schedule(cfg)
     report = metrics.evaluate_checkpoint(
         params, tuples, topo, topo.directions(args.directions), args.mode, sch, inst=inst,

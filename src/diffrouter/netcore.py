@@ -5,11 +5,15 @@ compute copy and for a loaded checkpoint, float64 for the master vector that
 AdamW updates. The forward and backward passes compute in the dtype of the
 weights; AdamW works in the dtype of its parameters. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
-between layers (none after the last). A network's parameters, its gradients
-and the optimizer's inputs all share one layout: a list of arrays in
-`param_list()` order, layer by layer the weight then the bias. `backward` can
-write its gradients into caller-owned arrays; the router passes views into
-one flat vector, so its optimizer step is one AdamW update of one array.
+between layers (none after the last). One loop, `forward_from_layer0`, runs
+the layers after the first from layer 0's pre-activation; `forward_cached`
+computes that pre-activation from the full input, and the router's
+forward-only calls assemble it from a block precomputed once per chain. A
+network's parameters, its gradients and the optimizer's inputs all share one
+layout: a list of arrays in `param_list()` order, layer by layer the weight
+then the bias. `backward` can write its gradients into caller-owned arrays;
+the router passes views into one flat vector, so its optimizer step is one
+AdamW update of one array.
 """
 
 from dataclasses import dataclass, field
@@ -75,7 +79,8 @@ def _activate_grad(net: DenseNet, z: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping pre-activations for the backward pass.
+    """Forward pass keeping each layer's input and pre-activation for the
+    backward pass.
 
     x: (B, d_in) or (d_in,), cast once to the dtype of the weights.
     Returns (output, cache).
@@ -84,16 +89,23 @@ def forward_cached(net: DenseNet, x: np.ndarray):
     h = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     if h.shape[1] != net.weights[0].shape[1]:
         raise ValueError(f"input width {h.shape[1]} != layer width {net.weights[0].shape[1]}")
-    hs = [h]
-    zs = []
-    n_layers = len(net.weights)
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+    hs, zs = [h], [_kernels.affine(h, net.weights[0], net.biases[0])]
+    out = forward_from_layer0(net, zs[0], (hs, zs))
+    return (out[0] if squeeze else out), (hs, zs, squeeze)
+
+
+def forward_from_layer0(net: DenseNet, z: np.ndarray, record) -> np.ndarray:
+    """The network's output from layer 0's pre-activation z, (B, width_1):
+    the one loop over the later layers. `record` is None for a forward-only
+    pass, or the (inputs, pre-activations) lists of a pass kept for the
+    backward pass, to which each later layer's are appended."""
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        h = _activate(net, z)
         z = _kernels.affine(h, w, b)
-        zs.append(z)
-        h = _activate(net, z) if li < n_layers - 1 else z
-        hs.append(h)
-    out = h[0] if squeeze else h
-    return out, (hs, zs, squeeze)
+        if record is not None:
+            record[0].append(h)
+            record[1].append(z)
+    return z
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:

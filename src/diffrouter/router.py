@@ -6,6 +6,14 @@ noise estimate. One parameter set serves every (src, tgt) direction; the
 domain embedding table is trained jointly with the backbone. Like t, each
 label is an int for the whole batch or a (B,) int array of per-row labels.
 
+A reverse chain or a refine loop queries the predictor many times with the
+same x_src and labels. `condition` binds a predictor to them once and returns
+f(x_t, t). For the router it precomputes layer 0's constant part, the x_src,
+label and bias block (B, H) and the time block of every step (T + 1, H), so
+each step multiplies only the d columns of x_t (`predict_noise`). Training
+builds the full input (`backbone_input`), because the backward pass needs it
+for layer 0's weight gradient.
+
 The backbone runs in the dtype of its weights. Training keeps a float64
 master copy and runs each step on a float32 cast of it (see train.py); a
 loaded checkpoint runs at the float32 it stores. Noise estimates are returned
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _blockfile, netcore
+from . import _blockfile, _kernels, netcore
 from .datagen import check_labels
 from .netcore import DenseNet
 
@@ -75,7 +83,19 @@ class RouterParams:
         return self.backbone.param_list() + [self.domain_emb]
 
     def __call__(self, x_t, t, x_src, tgt, src) -> np.ndarray:
-        return predict_noise(self, x_t, t, x_src, tgt, src)
+        """One-shot noise estimate; see `condition` for repeated queries."""
+        return condition(self, x_src, tgt, src)(x_t, t)
+
+
+@dataclass(frozen=True)
+class Conditioning:
+    """Layer 0's part that is constant over one binding, in the dtype of the
+    weights. `base` is the pre-activation of the x_src and embedding columns
+    plus the bias, (B, H), or (1, H) for one source vector; row t of
+    `time_rows`, (T + 1, H), is the pre-activation of the time columns."""
+
+    base: np.ndarray
+    time_rows: np.ndarray
 
 
 @dataclass
@@ -127,18 +147,27 @@ def time_table(n_timesteps: int, width: int) -> np.ndarray:
     return table
 
 
-def backbone_input(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
-    """The (B, in_dim) backbone input, in the dtype of the backbone weights."""
-    check_labels(params.n_domains, tgt, src)
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    x_src = np.atleast_2d(np.asarray(x_src, dtype=np.float64))
-    if x_t.shape[1] != params.data_dim or x_src.shape[1] != params.data_dim:
+def _check_width(params: RouterParams, *xs) -> None:
+    if any(x.shape[1] != params.data_dim for x in xs):
         raise ValueError(f"expected data dimension {params.data_dim}, "
-                         f"got {x_t.shape[1]} / {x_src.shape[1]}")
+                         f"got {' / '.join(str(x.shape[1]) for x in xs)}")
+
+
+def _check_steps(params: RouterParams, t) -> None:
     t = np.asarray(t)
     if t.dtype.kind not in "iu" or t.size and not (
             0 <= t.min() and t.max() <= params.n_timesteps):
         raise ValueError(f"time steps must be integers in [0, {params.n_timesteps}]")
+
+
+def backbone_input(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
+    """The (B, in_dim) backbone input of a training pass, in the dtype of the
+    backbone weights."""
+    check_labels(params.n_domains, tgt, src)
+    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
+    x_src = np.atleast_2d(np.asarray(x_src, dtype=np.float64))
+    _check_width(params, x_t, x_src)
+    _check_steps(params, t)
     d, E = params.data_dim, params.emb_dim
     lo = 2 * d + params.time_dim
     inp = np.empty((x_t.shape[0], lo + 2 * E), dtype=params.backbone.weights[0].dtype)
@@ -150,13 +179,42 @@ def backbone_input(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
     return inp
 
 
-def predict_noise(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
-    """Noise estimate for x_t at step t, conditioned on the source sample and
-    the (tgt, src) label pair. Accepts a single vector or a (B, d) batch; t,
-    tgt and src may each be a scalar or a per-row array. Returns float64."""
-    squeeze = np.asarray(x_t).ndim == 1
-    inp = backbone_input(params, x_t, t, x_src, tgt, src)
-    out = netcore.forward(params.backbone, inp).astype(np.float64, copy=False)
+def condition(predictor, x_src, tgt, src):
+    """Bind a predictor to the source sample and the (tgt, src) labels that a
+    reverse chain or a refine loop keeps fixed; returns f(x_t, t) -> noise
+    estimate. For RouterParams the labels and x_src's width are checked here,
+    once, and layer 0's constant part is computed once (`Conditioning`); each
+    call of f is one `predict_noise`. Any other predictor(x_t, t, x_src, tgt,
+    src), such as the oracle, is bound by closing over its arguments."""
+    if not isinstance(predictor, RouterParams):
+        return lambda x_t, t: predictor(x_t, t, x_src, tgt, src)
+    params = predictor
+    check_labels(params.n_domains, tgt, src)
+    w0, b0 = params.backbone.weights[0], params.backbone.biases[0]
+    x_src = np.atleast_2d(np.asarray(x_src, dtype=w0.dtype))
+    _check_width(params, x_src)
+    d, E = params.data_dim, params.emb_dim
+    lo = 2 * d + params.time_dim
+    emb = params.domain_emb
+    base = (_kernels.affine(x_src, w0[:, d:2 * d], b0)
+            + (emb @ w0[:, lo:lo + E].T)[tgt] + (emb @ w0[:, lo + E:].T)[src])
+    table = time_table(params.n_timesteps, params.time_dim).astype(w0.dtype)
+    cond = Conditioning(base=base, time_rows=table @ w0[:, 2 * d:lo].T)
+    return lambda x_t, t: predict_noise(params, x_t, t, cond)
+
+
+def predict_noise(params: RouterParams, x_t, t, cond: Conditioning) -> np.ndarray:
+    """Noise estimate for x_t at step t under the binding `cond` (see
+    `condition`). Accepts a single vector or a (B, d) batch; t may be a
+    scalar or a per-row array. Returns float64."""
+    squeeze = np.ndim(x_t) == 1
+    w0 = params.backbone.weights[0]
+    x_t = np.atleast_2d(np.asarray(x_t, dtype=w0.dtype))
+    _check_width(params, x_t)
+    _check_steps(params, t)
+    z = _kernels.affine(x_t, w0[:, :params.data_dim], cond.base)
+    z += cond.time_rows[t]
+    out = netcore.forward_from_layer0(params.backbone, z, None).astype(np.float64, copy=False)
     return out[0] if squeeze else out
 
 
@@ -172,14 +230,19 @@ def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray
     net_cache, tgt, src = cache
     grads = np.empty_like(params.flat)
     *net_grads, emb_grad = _param_views(params, grads)
-    emb_grad[:] = 0.0
     _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     gx = np.atleast_2d(gx)
-    B, E = gx.shape[0], params.emb_dim
+    E = params.emb_dim
     lo = 2 * params.data_dim + params.time_dim
-    np.add.at(emb_grad, np.broadcast_to(tgt, B), gx[:, lo:lo + E])
-    np.add.at(emb_grad, np.broadcast_to(src, B), gx[:, lo + E:lo + 2 * E])
+    np.matmul(_one_hot(tgt, params.n_domains, gx), gx[:, lo:lo + E], out=emb_grad)
+    emb_grad += _one_hot(src, params.n_domains, gx) @ gx[:, lo + E:lo + 2 * E]
     return grads
+
+
+def _one_hot(labels, K: int, rows: np.ndarray) -> np.ndarray:
+    """(K, B) indicator of each row's label, in the dtype of `rows`: its
+    product with the rows sums them per label, for an int or per-row labels."""
+    return (np.arange(K)[:, None] == np.broadcast_to(labels, rows.shape[:1])).astype(rows.dtype)
 
 
 def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:

@@ -1,10 +1,14 @@
 """Reverse-process sampling and spanning-tree routing.
 
 A predictor is any callable(x_t, t, x_src, tgt, src) -> noise estimate; both
-the learned router and the analytic oracle satisfy this. Indirect translation
+the learned router and the analytic oracle satisfy this. A reverse chain keeps
+x_src and the labels fixed, so `sample_chain_*` binds the predictor to them
+once per chain (`router.condition`), and each reverse step takes the bound
+f(x_t, t). For the router that binding computes layer 0's source, label and
+time blocks once per chain instead of once per step. Indirect translation
 chains one full reverse pass per tree hop, feeding each hop's output into the
-next hop's conditioning. Direct translation runs a single reverse pass with
-the requested (src, tgt) labels.
+next hop's conditioning, and so binds once per hop. Direct translation runs a
+single reverse pass with the requested (src, tgt) labels.
 
 The schedule's type picks the sampler, and its eta the reverse-step noise: a
 `DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Topology, check_labels
-from .router import KIND_DIRECT
+from .router import KIND_DIRECT, condition
 from .schedules import (BridgeSchedule, DiffusionSchedule, bridge_reverse_std, prev_step,
                         reverse_variance)
 
@@ -63,16 +67,17 @@ def _time_grid(T: int, steps: int) -> np.ndarray:
     return grid
 
 
-def reverse_step_diffusion(predictor, x_t, t: int, x_src, tgt: int, src: int,
-                           sch: DiffusionSchedule, rng: np.random.Generator,
+def reverse_step_diffusion(predictor, x_t, t: int, sch: DiffusionSchedule,
+                           rng: np.random.Generator,
                            t_prev: int | None = None) -> np.ndarray:
-    """One DDIM/ancestral step: x_prev = mu + omega * xi.
+    """One DDIM/ancestral step by a bound predictor(x_t, t) (see
+    `router.condition`): x_prev = mu + omega * xi.
 
     mu = (a_prev/a_t) x_t + (sqrt(sigma_prev^2 - omega^2) - sigma_t a_prev / a_t) eps_hat.
     Noise is suppressed on the final step to t_prev = 0, so outputs are means.
     """
     t_prev = prev_step(sch, t, t_prev)
-    eps_hat = predictor(x_t, t, x_src, tgt, src)
+    eps_hat = predictor(x_t, t)
     omega = reverse_variance(sch, t, t_prev)
     a_p, a_t = sch.a[t_prev], sch.a[t]
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
@@ -83,10 +88,11 @@ def reverse_step_diffusion(predictor, x_t, t: int, x_src, tgt: int, src: int,
     return mean
 
 
-def reverse_step_bridge(predictor, x_t, t: int, y, tgt: int, src: int,
-                        sch: BridgeSchedule, rng: np.random.Generator,
+def reverse_step_bridge(predictor, x_t, t: int, y, sch: BridgeSchedule,
+                        rng: np.random.Generator,
                         t_prev: int | None = None) -> np.ndarray:
-    """One bridge reverse step with endpoint y (x_T == y).
+    """One bridge reverse step with endpoint y (x_T == y), by a predictor
+    bound to y and the labels.
 
     The t = T step is singular (alpha_T = 0, sigma_T = 0); there the unknown
     clean sample is approximated by the endpoint itself, giving
@@ -102,7 +108,7 @@ def reverse_step_bridge(predictor, x_t, t: int, y, tgt: int, src: int,
         if sch.eta > 0.0 and s_p > 0.0:
             return mean + s_p * rng.standard_normal(np.shape(mean))
         return mean
-    eps_hat = predictor(x_t, t, y, tgt, src)
+    eps_hat = predictor(x_t, t)
     delta_std = bridge_reverse_std(sch, t, t_prev)
     delta_sq = (delta_std * s_t / s_p) ** 2 if s_p > 0.0 else 0.0
     coef = s_p * np.sqrt(max(s_t * s_t - delta_sq, 0.0)) / s_t - s_t * a_p / a_t
@@ -119,10 +125,10 @@ def sample_chain_diffusion(predictor, x_src, tgt: int, src: int, sch: DiffusionS
     Returns (sample, number of denoising steps run)."""
     grid = _time_grid(sch.T, steps)
     x_src = np.asarray(x_src, dtype=np.float64)
+    bound = condition(predictor, x_src, tgt, src)
     x = rng.standard_normal(x_src.shape)
     for i in range(len(grid) - 1, 0, -1):
-        x = reverse_step_diffusion(predictor, x, int(grid[i]), x_src, tgt, src,
-                                   sch, rng, t_prev=int(grid[i - 1]))
+        x = reverse_step_diffusion(bound, x, int(grid[i]), sch, rng, t_prev=int(grid[i - 1]))
     return x, len(grid) - 1
 
 
@@ -131,10 +137,10 @@ def sample_chain_bridge(predictor, y, tgt: int, src: int, sch: BridgeSchedule,
     """Full bridge reverse pass starting from the endpoint x_T == y."""
     grid = _time_grid(sch.T, steps)
     y = np.asarray(y, dtype=np.float64)
+    bound = condition(predictor, y, tgt, src)
     x = y.copy()
     for i in range(len(grid) - 1, 0, -1):
-        x = reverse_step_bridge(predictor, x, int(grid[i]), y, tgt, src,
-                                sch, rng, t_prev=int(grid[i - 1]))
+        x = reverse_step_bridge(bound, x, int(grid[i]), y, sch, rng, t_prev=int(grid[i - 1]))
     return x, len(grid) - 1
 
 

@@ -24,7 +24,11 @@ The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
 x <- x + sigma_t (eps - eps_ref(x, t, x_c, tgt, c)) with fresh eps each
 iteration, which moves the unconditional noisy sample toward the conditional
-population before the teacher is queried.
+population before the teacher is queried. The refine iterations and that
+final query share t, x_c and the labels, so the step binds the teacher to
+x_c and the labels once (`router.condition`) and `tweedie_refine` takes the
+bound predictor(x, t): the teacher's layer-0 source, label and time blocks
+are computed once per step, not once per query.
 """
 
 import csv
@@ -35,7 +39,7 @@ import numpy as np
 from . import router as router_mod
 from .datagen import PairedDataset, Topology
 from .netcore import DivergenceError, OptimizerState, optimizer_step
-from .router import RouterParams, freeze
+from .router import RouterParams, condition, freeze
 from .sample import route_path
 from .schedules import BridgeSchedule, DiffusionSchedule
 
@@ -116,11 +120,12 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     return float(np.sum(resid * resid)) / B, grads
 
 
-def tweedie_refine(ref, x_t_init: np.ndarray, t, x_c: np.ndarray, tgt: int, c: int,
-                   n: int, sch: DiffusionSchedule, rng: np.random.Generator) -> np.ndarray:
-    """n refinement iterations x <- x + sigma_t (eps - ref(x, t, x_c, tgt, c)),
-    with a fresh eps draw per iteration. t may be a scalar step or a per-row
-    array when x_t_init is a batch."""
+def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
+                   rng: np.random.Generator, *, n: int) -> np.ndarray:
+    """n refinement iterations x <- x + sigma_t (eps - predictor(x, t)), with a
+    fresh eps draw per iteration, by a predictor bound to the conditioning
+    sample and the labels (see `router.condition`). t may be a scalar step or
+    a per-row array when x_t_init is a batch."""
     if n < 0:
         raise ValueError("refinement step count must be >= 0")
     x = np.asarray(x_t_init, dtype=np.float64).copy()
@@ -131,7 +136,7 @@ def tweedie_refine(ref, x_t_init: np.ndarray, t, x_c: np.ndarray, tgt: int, c: i
         sigma = sigma[:, None]
     for _ in range(n):
         eps = rng.standard_normal(x.shape)
-        x = x + sigma * (eps - ref(x, t, x_c, tgt, c))
+        x = x + sigma * (eps - predictor(x, t))
     return x
 
 
@@ -159,9 +164,10 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     x_j0 = x_j_pool[rng.integers(0, len(x_j_pool), size=B)]
     eps0 = rng.standard_normal(x_j0.shape)
     x_t_j = sch.a[t][:, None] * x_j0 + sch.sigma[t][:, None] * eps0
-    x_t_j = tweedie_refine(ref, x_t_j, t, batch_c, j, c, cfg.n_refine, sch, rng)
+    teacher = condition(ref, batch_c, j, c)
+    x_t_j = tweedie_refine(teacher, x_t_j, t, sch, rng, n=cfg.n_refine)
 
-    eps_ref = ref(x_t_j, t, batch_c, j, c)
+    eps_ref = teacher(x_t_j, t)
     pred, cache = router_mod.forward_cached(params, x_t_j, t, batch_i, j, i)
     resid = pred - eps_ref
     loss = float(np.sum(resid * resid)) / B

@@ -12,7 +12,7 @@ from diffrouter import datagen, metrics
 from diffrouter.datagen import (GaussianInstance, OracleScorePredictor,
                                 Topology, make_star_instance)
 from diffrouter.netcore import backward, forward, forward_cached, init_dense
-from diffrouter.router import KIND_DIRECT, init_router
+from diffrouter.router import KIND_DIRECT, condition, init_router
 from diffrouter.sample import TranslationRequest, translate
 from diffrouter.schedules import (build_bridge_schedule,
                                   build_diffusion_schedule)
@@ -290,9 +290,8 @@ def test_acceptance_10_refinement_distribution_convergence(capsys):
         for n in (0, 1, 3, 5, 7):
             # one shared stream per n so successive snapshots are coupled
             r = np.random.default_rng(100)
-            refined = tweedie_refine(oracle, base, t,
-                                     np.broadcast_to(x_c, (M, d)), 1, 0, n,
-                                     sch, r)
+            refined = tweedie_refine(condition(oracle, np.broadcast_to(x_c, (M, d)), 1, 0),
+                                     base, t, sch, r, n=n)
             vals.append(metrics.sliced_wasserstein(
                 refined, np.atleast_2d(ref), rng=np.random.default_rng(0)))
         mono = all(b < a for a, b in zip(vals, vals[1:]))

@@ -5,8 +5,12 @@ glyph views and the time-feature table.
 The dataset pins were produced by the per-row implementation the batched
 glyph views replaced. The checkpoint and loss-log pins come from training in
 float32 over the float64 master vector, with each paired step one pass over
-both directions; both changed the trained weights on purpose, and two fresh
-runs gave the same bytes before they were pinned. All were
+both directions; both changed the trained weights on purpose. The checkpoint
+pins were renewed again for the tanh-form SiLU, the per-label embedding
+gradient sum and the finetune teacher's layer-0 split, which round
+differently. The eval-report pins guard the forward-only path: the bound
+predictor of every reverse chain. Two fresh runs gave the same bytes before
+any pin was set. All were
 made on x86-64 with numpy 2.4 and its bundled OpenBLAS. Another BLAS build may
 round the dense layers differently; there, regenerate the pins from a checkout
 of the pinning code before trusting a difference.
@@ -24,7 +28,9 @@ from diffrouter.datagen import GLYPH_DIM, GLYPH_SIDE
 from diffrouter.router import freeze
 from diffrouter.train import TrainConfig, train
 
-STAGES = (["gen-data"], ["train-paired"], ["finetune-direct"], ["train-scratch"])
+STAGES = (["gen-data"], ["train-paired"], ["finetune-direct"], ["train-scratch"],
+          ["eval", "--mode", "indirect", "--directions", "all"],
+          ["eval", "--mode", "direct", "--directions", "nonedges"])
 
 COMMON = {"instance.topology": "star", "instance.k": "3", "schedule.t": "10",
           "network.hidden": "32,32", "train.batch_size": "32", "train.steps": "60",
@@ -42,11 +48,11 @@ RUNS = {
 PINS = {
     "gaussian-star": {
         "checkpoints/direct.ckpt":
-            "1b9191feb6a0c691e030d595f1bbadfbce381693420044ecb679e1804b4e5958",
+            "02d1e51399c45267c57a9832f221b12dbcdd0cb3646b6976148444eada505718",
         "checkpoints/paired.ckpt":
-            "900693770e3e072a9ccceef9bd0f8aab24ccc2873851dfb0c1363ebe3f9fc835",
+            "ae31d121a68e7874a79991a9ab3e57090587d00d3e29cf26009dd7a23bdfc119",
         "checkpoints/scratch.ckpt":
-            "0cba139f304843f5351c96a5345c31598aacb1cdc6575adb7236bcb69a9ae058",
+            "9e51943a6e7846420ff1d8340d6d20e533f89dbcbe5b45e942406a425059f56a",
         "datasets/edge_1-0.bin":
             "9909778e0630eb33a429dc6a2ab72904f77d37d581db2d6bd81c57cb7ed443d7",
         "datasets/edge_2-0.bin":
@@ -59,14 +65,18 @@ PINS = {
             "60497ca959b6235be6cc07566a6bee88c30f4c49b05d804e7643c9e51a70ced0",
         "logs/paired-only.csv":
             "87cf1d84c94f37a432b4d9fe512a7c2b5e6cd62060f7f7fd5772f1f0ae8cc867",
+        "reports/eval-direct-nonedges.csv":
+            "d5dd7ab354be27a8bd853c33d90a3de9aec541f5b01ab526debb51850d88a23c",
+        "reports/eval-indirect-all.csv":
+            "90055fdd2ef990b03a32f249fe0701cd5fe72a1ce78c65b49e16fa2f425818bc",
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
-            "b203a41ffa4763fcdc21fcb65e1e1a2676d189841390a6cbdb58d4b0cb4ce18d",
+            "d3041b71802702554dff80983939d9f790ba87993778d3bf35a530beeb6fa1b3",
         "checkpoints/paired.ckpt":
-            "552480b8847b7b1deac918cc06729346e4e9c49faf9978cdcb778d74806eaccb",
+            "d56d5dc47f7dcad7b1093180b855c0975606ad733a67690c5a16ebb1679e5883",
         "checkpoints/scratch.ckpt":
-            "4e07d0aa8ffb49f1c4c2f0e5f4de1ef3c2c383750790d05c99adf2484d488ec5",
+            "63a8bc5b7e6c5499df0c74fbd88c7784ac059dc71084cf799273d9c80989d419",
         "datasets/edge_1-0.bin":
             "4922318caaf612e283163772907bbbc2b24a398a7ffbf08788d468d589fbceab",
         "datasets/edge_2-0.bin":
@@ -79,12 +89,17 @@ PINS = {
             "c784b4af70d45fddc9e6fed842e0df2081223cd20673e91feafdc93f7e28bcfb",
         "logs/paired-only.csv":
             "3e4b00307a6531579de811069cc5b3134e1525649ae7d440269319cfd4f13c5f",
+        "reports/eval-direct-nonedges.csv":
+            "f60a8ff4110f1411e220848f49209ea90add1bb0f32e22c8898eaae041e0959c",
+        "reports/eval-indirect-all.csv":
+            "9533ccadd2e2d7d97de810a6e7ba64ce261102cf77a6292a8d407dc8b657a3c0",
     },
 }
 
 
 def tiny_run_digests(name: str, root) -> dict[str, str]:
-    """sha256 of every dataset, checkpoint and log of a tiny run under root."""
+    """sha256 of every dataset, checkpoint, log and eval report of a tiny run
+    under root."""
     flags = [a for k, v in RUNS[name].items() for a in ("--override", f"{k}={v}")]
     for stage in STAGES:
         assert main(stage + flags) == 0

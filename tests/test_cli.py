@@ -236,9 +236,13 @@ def test_pipeline_end_to_end(workspace, capsys):
     # direct mode requires a finetuned checkpoint
     assert main(["eval", "--config", cfg_path, "--mode", "direct"]) == 1
     assert "checkpoint not found" in capsys.readouterr().err
-    # a paired-only checkpoint refuses direct translation requests
+    # direct translation loads the finetuned checkpoint, which is not there yet
     assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
                  "--mode", "direct"]) == 1
+    assert "run finetune-direct first" in capsys.readouterr().err
+    # a paired-only checkpoint refuses direct translation requests
+    assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
+                 "--mode", "direct", "--checkpoint", str(run / "checkpoints/paired.ckpt")]) == 1
     assert "paired-only" in capsys.readouterr().err
 
     assert main(["translate", "--config", cfg_path, "--src", "1", "--tgt", "2",
@@ -433,6 +437,55 @@ def test_manifest_says_what_made_a_translate_report(trained_run, tmp_path, monke
         "reports/translate-1-2-indirect.csv")
     assert manifest["settings"] == {"translate-1-2-indirect": {
         "checkpoint": str(ckpt), "eta": 0.7, "n": 20, "seed": 4, "steps": 5}}
+
+
+def test_translate_direct_loads_the_direct_checkpoint(workspace, capsys):
+    """translate and eval share one default: under --mode direct both load the
+    run's direct.ckpt, and the manifest names the file translate loaded."""
+    root, cfg_path = workspace
+    args = ["--config", cfg_path, "--override", "train.steps=20",
+            "--override", "train.finetune_steps=10"]
+    run = _run(root, load_config(cfg_path, ["train.steps=20", "train.finetune_steps=10"]))
+    for stage in ("gen-data", "train-paired"):
+        assert main([stage, *args]) == 0, stage
+    capsys.readouterr()
+    direct = ["translate", "--src", "2", "--tgt", "1", "--mode", "direct", *args]
+    assert main(direct) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "run finetune-direct first" in err, err
+    assert main(["finetune-direct", *args]) == 0
+    assert main(direct) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["settings"]["translate-2-1-direct"]["checkpoint"] == (
+        "checkpoints/direct.ckpt")
+    assert (run / "reports/translate-2-1-direct.csv").exists()
+
+
+def test_eval_binds_once_per_hop_and_builds_no_full_input(trained_run, tmp_path,
+                                                         monkeypatch):
+    """An indirect eval over all six directions of the K=3 star runs eight
+    hops; each hop conditions the router once and then makes T calls, and no
+    call assembles the full backbone input, which only training needs."""
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+    conds, calls, built = [], [], []
+    predict, build = router.predict_noise, router.backbone_input
+
+    def spy_predict(params, x_t, t, cond):
+        if not any(c is cond for c in conds):
+            conds.append(cond)
+        calls.append(t)
+        return predict(params, x_t, t, cond)
+
+    def spy_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(router, "predict_noise", spy_predict)
+    monkeypatch.setattr(router, "backbone_input", spy_build)
+    assert main(["eval", "--config", cfg_path, "--directions", "all"]) == 0
+    T = load_config(cfg_path).T
+    assert len(conds) == 8 and len(calls) == 8 * T and not built
 
 
 def test_translate_defaults_to_the_schedule_eta(trained_run, tmp_path, monkeypatch):

@@ -16,8 +16,9 @@ from diffrouter.metrics import mmd_rbf
 
 def test_numpy_kernels_match_plain_expressions_bitwise(rng):
     z = 30.0 * rng.standard_normal((64, 32))
-    s = 1.0 / (1.0 + np.exp(-z))
-    assert np.array_equal(_kernels.silu(z), z * s)
+    u = z / 2
+    s = (1.0 + np.tanh(u)) / 2
+    assert np.array_equal(_kernels.silu(z), u * (1.0 + np.tanh(u)))
     assert np.array_equal(_kernels.silu_grad(z), s * (1.0 + z * (1.0 - s)))
     h = rng.standard_normal((16, 10))
     w = rng.standard_normal((7, 10))
@@ -25,6 +26,16 @@ def test_numpy_kernels_match_plain_expressions_bitwise(rng):
     assert np.array_equal(_kernels.affine(h, w, b), h @ w.T + b)
     h32, w32, b32 = (a.astype(np.float32) for a in (h, w, b))
     assert _kernels.affine(h32, w32, b32).dtype == np.float32
+
+
+def test_tanh_form_silu_matches_the_logistic_form(rng):
+    """The tanh form is z * sigmoid(z) rewritten, sigmoid(z) = (1 + tanh(z/2)) / 2;
+    in float64 it agrees with the logistic expression and its derivative to
+    rounding over the range where neither saturates."""
+    z = np.concatenate([np.linspace(-60.0, 60.0, 4801), 8.0 * rng.standard_normal(4096)])
+    s = 1.0 / (1.0 + np.exp(-z))
+    assert np.max(np.abs(_kernels.silu(z) - z * s)) < 1e-13
+    assert np.max(np.abs(_kernels.silu_grad(z) - s * (1.0 + z * (1.0 - s)))) < 1e-13
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

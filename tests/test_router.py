@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diffrouter import router
-from diffrouter.router import (backbone_input, backward, forward_cached, freeze,
-                               init_router, load_checkpoint, predict_noise,
-                               save_checkpoint, time_features, topology_hash)
+from diffrouter import netcore, router
+from diffrouter.router import (backbone_input, backward, condition, forward_cached,
+                               freeze, init_router, load_checkpoint, save_checkpoint,
+                               time_features, topology_hash)
 
 
 @pytest.fixture()
@@ -24,15 +26,15 @@ def test_zero_backbone_outputs_zero(params, rng):
         w[:] = 0
     for b in params.backbone.biases:
         b[:] = 0
-    out = predict_noise(params, rng.standard_normal(2), 7, rng.standard_normal(2), 2, 1)
+    out = params(rng.standard_normal(2), 7, rng.standard_normal(2), 2, 1)
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_label_swap_changes_output(params, rng):
     x_t = rng.standard_normal(2)
     x_src = rng.standard_normal(2)
-    a = predict_noise(params, x_t, 10, x_src, 1, 0)
-    b = predict_noise(params, x_t, 10, x_src, 0, 1)
+    a = params(x_t, 10, x_src, 1, 0)
+    b = params(x_t, 10, x_src, 0, 1)
     assert np.linalg.norm(a - b) > 0
 
 
@@ -63,16 +65,16 @@ def test_predict_matches_scalar_reference(params, rng):
     for li, (W, b) in enumerate(zip(params.backbone.weights, params.backbone.biases)):
         z = W @ h + b
         h = z / (1.0 + np.exp(-z)) if li < len(params.backbone.weights) - 1 else z
-    assert np.allclose(predict_noise(params, x_t, t, x_src, 2, 0), h, atol=1e-12)
+    assert np.allclose(params(x_t, t, x_src, 2, 0), h, atol=1e-12)
 
 
 def test_per_row_time(params, rng):
     x_t = rng.standard_normal((4, 2))
     x_src = rng.standard_normal((4, 2))
     t = np.array([1, 10, 50, 100])
-    batch = predict_noise(params, x_t, t, x_src, 1, 0)
+    batch = params(x_t, t, x_src, 1, 0)
     for i in range(4):
-        row = predict_noise(params, x_t[i], int(t[i]), x_src[i], 1, 0)
+        row = params(x_t[i], int(t[i]), x_src[i], 1, 0)
         assert np.allclose(batch[i], row, atol=1e-12)
 
 
@@ -81,10 +83,66 @@ def test_per_row_labels(params, rng):
     x_src = rng.standard_normal((5, 2))
     t = np.array([1, 10, 50, 100, 7])
     tgt, src = np.array([1, 0, 2, 1, 2]), np.array([0, 1, 0, 2, 1])
-    batch = predict_noise(params, x_t, t, x_src, tgt, src)
+    batch = params(x_t, t, x_src, tgt, src)
     for i in range(5):
-        row = predict_noise(params, x_t[i], int(t[i]), x_src[i], int(tgt[i]), int(src[i]))
+        row = params(x_t[i], int(t[i]), x_src[i], int(tgt[i]), int(src[i]))
         assert np.allclose(batch[i], row, atol=1e-12)
+
+
+def _full_input_forward(params, x_t, t, x_src, tgt, src):
+    inp = backbone_input(params, x_t, t, np.broadcast_to(x_src, np.shape(x_t)), tgt, src)
+    return netcore.forward(params.backbone, inp).astype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("per_row_t", [False, True])
+@pytest.mark.parametrize("per_row_labels", [False, True])
+def test_bound_predictor_matches_full_input_forward(dtype, d, per_row_t, per_row_labels):
+    """The layer-0 split (x_t columns per call, the rest bound once) against
+    the whole concatenated input through every layer: equal to rtol 1e-12 in
+    float64, within 1e-5 absolute in float32."""
+    rng = np.random.default_rng(d)
+    params = init_router(d, 4, 50, [32, 32], rng)
+    params = replace(params, flat=params.flat.astype(dtype))
+    B = 40
+    x_t, x_src = rng.standard_normal((B, d)), rng.standard_normal((B, d))
+    t = rng.integers(0, 51, size=B) if per_row_t else 17
+    tgt, src = ((rng.integers(0, 4, size=B), rng.integers(0, 4, size=B))
+                if per_row_labels else (3, 1))
+
+    def close(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        if dtype == np.float64:
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        return np.max(np.abs(got - want)) <= 1e-5
+
+    want = _full_input_forward(params, x_t, t, x_src, tgt, src)
+    assert close(condition(params, x_src, tgt, src)(x_t, t), want)
+    assert close(params(x_t, t, x_src, tgt, src), want)
+    if not per_row_t and not per_row_labels:  # bound to one source vector
+        one = condition(params, x_src[0], tgt, src)
+        assert close(one(x_t[0], t), want[0])
+        assert close(one(x_t, t), _full_input_forward(params, x_t, t, x_src[0], tgt, src))
+
+
+def test_bound_predictor_keeps_the_checks(params, rng):
+    """The binding checks the labels and x_src's width once; each call checks
+    x_t's width and its steps; the messages are those of the full input."""
+    x, x3 = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+    for tgt, src, bad in ((3, 0, 3), (0, -1, -1), (np.array([1, 4, 0]), 0, 4)):
+        with pytest.raises(ValueError, match=rf"^domain label {bad} out of range \[0, 3\)$"):
+            condition(params, x, tgt, src)
+    with pytest.raises(ValueError, match="^expected data dimension 2, got 3$"):
+        condition(params, x3, 1, 0)
+    bound = condition(params, x, 1, 0)
+    with pytest.raises(ValueError, match="^expected data dimension 2, got 3$"):
+        bound(x3, 5)
+    for t in (-1, 101, np.array([3, -1, 0]), 2.0):
+        with pytest.raises(ValueError, match=r"^time steps must be integers in \[0, 100\]$"):
+            bound(x, t)
+    with pytest.raises(ValueError, match="^expected data dimension 2, got 3 / 2$"):
+        backbone_input(params, x3, 5, x, 1, 0)
 
 
 def test_mixed_label_backward_is_sum_of_single_label_passes(params, rng):
@@ -106,17 +164,17 @@ def test_mixed_label_backward_is_sum_of_single_label_passes(params, rng):
 
 def test_label_and_dim_validation(params, rng):
     with pytest.raises(ValueError):
-        predict_noise(params, rng.standard_normal(2), 1, rng.standard_normal(2), 3, 0)
+        params(rng.standard_normal(2), 1, rng.standard_normal(2), 3, 0)
     with pytest.raises(ValueError):
-        predict_noise(params, rng.standard_normal(2), 1, rng.standard_normal(2), -1, 0)
+        params(rng.standard_normal(2), 1, rng.standard_normal(2), -1, 0)
     with pytest.raises(ValueError):
-        predict_noise(params, rng.standard_normal(3), 1, rng.standard_normal(2), 1, 0)
+        params(rng.standard_normal(3), 1, rng.standard_normal(2), 1, 0)
     x = rng.standard_normal((3, 2))
     for tgt, bad in ((np.array([1, 3, 4]), 3), (np.array([0, -1, 2]), -1)):
         with pytest.raises(ValueError, match=rf"^domain label {bad} out of range \[0, 3\)$"):
-            predict_noise(params, x, 1, x, tgt, 0)
+            params(x, 1, x, tgt, 0)
         with pytest.raises(ValueError, match=rf"^domain label {bad} out of range \[0, 3\)$"):
-            predict_noise(params, x, 1, x, 0, tgt)
+            params(x, 1, x, 0, tgt)
 
 
 def test_freeze_semantics(params, rng):
@@ -124,7 +182,7 @@ def test_freeze_semantics(params, rng):
     x_src = rng.standard_normal((100, 2))
     frozen = freeze(params)
     at_freeze = frozen(x_t, 5, x_src, 1, 0)
-    assert np.allclose(at_freeze, predict_noise(params, x_t, 5, x_src, 1, 0))
+    assert np.allclose(at_freeze, params(x_t, 5, x_src, 1, 0))
     for w in params.backbone.weights:
         w += 1.0
     params.domain_emb += 1.0
@@ -143,9 +201,9 @@ def test_embedding_gradients_finite_difference(params, rng):
         for e in range(params.emb_dim):
             orig = params.domain_emb[k, e]
             params.domain_emb[k, e] = orig + eps
-            lp = float(np.sum(predict_noise(params, x_t, 9, x_src, 1, 0) * g_out))
+            lp = float(np.sum(params(x_t, 9, x_src, 1, 0) * g_out))
             params.domain_emb[k, e] = orig - eps
-            lm = float(np.sum(predict_noise(params, x_t, 9, x_src, 1, 0) * g_out))
+            lm = float(np.sum(params(x_t, 9, x_src, 1, 0) * g_out))
             params.domain_emb[k, e] = orig
             fd = (lp - lm) / (2 * eps)
             assert abs(fd - emb_grad[k, e]) < 1e-5 * max(1.0, abs(fd))
@@ -162,8 +220,8 @@ def test_checkpoint_roundtrip(tmp_path, params, rng):
     assert header["topology"] == topology_hash([(0, 2), (0, 1)])  # order-insensitive
     x_t = rng.standard_normal((8, 2))
     x_src = rng.standard_normal((8, 2))
-    a = predict_noise(params, x_t, 3, x_src, 1, 2)
-    b = predict_noise(back, x_t, 3, x_src, 1, 2)
+    a = params(x_t, 3, x_src, 1, 2)
+    b = back(x_t, 3, x_src, 1, 2)
     assert np.max(np.abs(a - b)) < 1e-5  # float32 storage
 
 
@@ -199,6 +257,6 @@ def test_loaded_checkpoint_runs_in_float32(tmp_path, params, rng):
     x_t = rng.standard_normal((8, 2))
     x_src = rng.standard_normal((8, 2))
     assert backbone_input(back, x_t, 3, x_src, 1, 2).dtype == np.float32
-    b = predict_noise(back, x_t, 3, x_src, 1, 2)
+    b = back(x_t, 3, x_src, 1, 2)
     assert b.dtype == np.float64
-    assert np.max(np.abs(predict_noise(wide, x_t, 3, x_src, 1, 2) - b)) < 1e-5
+    assert np.max(np.abs(wide(x_t, 3, x_src, 1, 2) - b)) < 1e-5

@@ -5,7 +5,7 @@ import pytest
 
 from diffrouter import datagen, metrics, router
 from diffrouter.datagen import OracleScorePredictor, Topology
-from diffrouter.router import KIND_DIRECT, init_router
+from diffrouter.router import KIND_DIRECT, condition, init_router
 from diffrouter.sample import (TranslationRequest, reverse_step_bridge,
                                reverse_step_diffusion, route_path,
                                sample_chain_bridge, sample_chain_diffusion,
@@ -72,23 +72,23 @@ def test_route_path_uniqueness_brute_force():
 def test_reverse_step_zero_predictor_rescales(sch100, rng):
     """eta = 0, zero noise estimate: pure (a_prev / a_t) rescaling."""
     x = rng.standard_normal(3)
-    out = reverse_step_diffusion(_zero_predictor, x, 50, x, 1, 0, sch100, rng)
+    out = reverse_step_diffusion(condition(_zero_predictor, x, 1, 0), x, 50, sch100, rng)
     assert np.allclose(out, (sch100.a[49] / sch100.a[50]) * x)
 
 
 def test_reverse_step_deterministic_at_eta_zero(sch100, rng):
     x = rng.standard_normal(3)
-    a = reverse_step_diffusion(_zero_predictor, x, 10, x, 1, 0, sch100,
+    a = reverse_step_diffusion(condition(_zero_predictor, x, 1, 0), x, 10, sch100,
                                np.random.default_rng(1))
-    b = reverse_step_diffusion(_zero_predictor, x, 10, x, 1, 0, sch100,
+    b = reverse_step_diffusion(condition(_zero_predictor, x, 1, 0), x, 10, sch100,
                                np.random.default_rng(2))
     assert np.array_equal(a, b)  # no randomness consumed
 
 
 def test_reverse_step_t_range(sch100, rng):
     with pytest.raises(ValueError):
-        reverse_step_diffusion(_zero_predictor, np.zeros(2), 0, np.zeros(2),
-                               1, 0, sch100, rng)
+        reverse_step_diffusion(condition(_zero_predictor, np.zeros(2), 1, 0),
+                               np.zeros(2), 0, sch100, rng)
 
 
 def test_bridge_step_checks_t_prev_first(rng):
@@ -98,7 +98,8 @@ def test_bridge_step_checks_t_prev_first(rng):
     y = rng.standard_normal(2)
     for t, t_prev in ((20, -1), (10, 25)):
         with pytest.raises(ValueError, match=rf"t_prev={t_prev} must lie in \[0, {t}\)"):
-            reverse_step_bridge(_zero_predictor, y, t, y, 1, 0, sch, rng, t_prev=t_prev)
+            reverse_step_bridge(condition(_zero_predictor, y, 1, 0), y, t, y, sch, rng,
+                                t_prev=t_prev)
 
 
 def test_oracle_chain_matches_analytic_marginal(small_star, sch100):
@@ -118,7 +119,7 @@ def test_oracle_chain_matches_analytic_marginal(small_star, sch100):
 def test_bridge_start_state_is_endpoint(rng):
     sch = build_bridge_schedule(20, eta=0.0)
     y = rng.standard_normal(2)
-    out = reverse_step_bridge(_zero_predictor, y, 20, y, 1, 0, sch, rng)
+    out = reverse_step_bridge(condition(_zero_predictor, y, 1, 0), y, 20, y, sch, rng)
     expect = (sch.alpha[19] + sch.beta[19]) * y
     assert np.allclose(out, expect)
 
@@ -194,6 +195,29 @@ def test_translate_step_skipping(small_star, sch100, rng):
     req = TranslationRequest(x_src=tuples.domain(1)[:2], src=1, tgt=0, steps=10)
     result = translate(params, req, topo, sch100)
     assert result.total_steps == 10
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+def test_each_hop_binds_the_router_once(small_star, rng, monkeypatch, bridge):
+    """A translation conditions the router once per hop: each hop's steps
+    share one binding of its source sample and labels."""
+    topo, _, tuples, _ = small_star
+    sch = build_bridge_schedule(10) if bridge else build_diffusion_schedule(10)
+    params = init_router(2, 3, 10, [8], rng)
+    conds, calls = [], []
+    predict = router.predict_noise
+
+    def spy(p, x_t, t, cond):
+        if not any(c is cond for c in conds):
+            conds.append(cond)
+        calls.append(t)
+        return predict(p, x_t, t, cond)
+
+    monkeypatch.setattr(router, "predict_noise", spy)
+    req = TranslationRequest(x_src=tuples.domain(1)[:5], src=1, tgt=2)
+    assert translate(params, req, topo, sch).total_steps == 20
+    # the bridge's t = T step uses the endpoint, not the network
+    assert len(conds) == 2 and len(calls) == (18 if bridge else 20)
 
 
 def test_request_validation():

@@ -8,7 +8,7 @@ import pytest
 from diffrouter import datagen, metrics, netcore, router
 from diffrouter.datagen import OracleScorePredictor
 from diffrouter.netcore import DivergenceError, optimizer_step
-from diffrouter.router import freeze, init_router
+from diffrouter.router import condition, freeze, init_router
 from diffrouter.schedules import build_bridge_schedule, build_diffusion_schedule
 from diffrouter.train import (TrainConfig, final_loss_step, paired_loss_step,
                               train, tweedie_refine, unpaired_loss_step)
@@ -162,16 +162,16 @@ def test_bridge_corruption_used(setup, rng):
 def test_tweedie_refine_basics(sch100, rng):
     x = rng.standard_normal((4, 2))
     x_c = rng.standard_normal((4, 2))
-    out0 = tweedie_refine(lambda *a: np.zeros((4, 2)), x, 50, x_c, 1, 0, 0,
-                          sch100, rng)
+    out0 = tweedie_refine(condition(lambda *a: np.zeros((4, 2)), x_c, 1, 0), x, 50,
+                          sch100, rng, n=0)
     assert np.array_equal(out0, x)
     seeded = np.random.default_rng(9)
     expect = x + sch100.sigma[50] * np.random.default_rng(9).standard_normal((4, 2))
-    out1 = tweedie_refine(lambda *a: np.zeros((4, 2)), x, 50, x_c, 1, 0, 1,
-                          sch100, seeded)
+    out1 = tweedie_refine(condition(lambda *a: np.zeros((4, 2)), x_c, 1, 0), x, 50,
+                          sch100, seeded, n=1)
     assert np.allclose(out1, expect)
     with pytest.raises(ValueError):
-        tweedie_refine(lambda *a: 0, x, 50, x_c, 1, 0, -1, sch100, rng)
+        tweedie_refine(condition(lambda *a: 0, x_c, 1, 0), x, 50, sch100, rng, n=-1)
 
 
 def test_unpaired_refuses_bridge(setup, rng):
@@ -208,6 +208,36 @@ def test_unpaired_zero_nets_zero_loss(setup, sch100, rng):
                                      1, 0, 2, datasets[1].side(2), sch100,
                                      cfg, rng, topo)
     assert loss == 0.0
+
+
+def test_unpaired_step_binds_the_teacher_once(setup, sch100, rng, monkeypatch):
+    """The n refine iterations and the final teacher query share t, x_c and
+    the labels: one conditioning serves all n + 1 teacher calls, each over
+    the whole batch, and only the student's pass builds the full input."""
+    topo, datasets, *_, params = setup
+    ref = freeze(params)
+    cfg = TrainConfig(regime="finetune", n_refine=3)
+    ds = datasets[0]
+    conds, rows, built = [], [], []
+    predict, build = router.predict_noise, router.backbone_input
+
+    def spy_predict(p, x_t, t, cond):
+        assert p is ref
+        if not any(c is cond for c in conds):
+            conds.append(cond)
+        rows.append(len(x_t))
+        return predict(p, x_t, t, cond)
+
+    def spy_build(p, *args):
+        built.append(p)
+        return build(p, *args)
+
+    monkeypatch.setattr(router, "predict_noise", spy_predict)
+    monkeypatch.setattr(router, "backbone_input", spy_build)
+    unpaired_loss_step(params, ref, ds.x_a[:16], ds.x_b[:16], 1, 0, 2,
+                       datasets[1].side(2), sch100, cfg, rng, topo)
+    assert len(conds) == 1 and rows == [16] * 4
+    assert len(built) == 1 and built[0] is params
 
 
 def test_gradient_isolation_of_reference(setup, sch100, rng):
@@ -432,8 +462,8 @@ def test_refinement_converges_at_per_row_steps():
     vals = {level: [] for level in levels}
     for n in (0, 1, 3, 5, 7):
         # one shared stream per n so successive snapshots are coupled
-        refined = tweedie_refine(oracle, base, t, np.broadcast_to(x_c, (3 * M, d)), 1, 0,
-                                 n, sch, np.random.default_rng(100))
+        refined = tweedie_refine(condition(oracle, np.broadcast_to(x_c, (3 * M, d)), 1, 0),
+                                 base, t, sch, np.random.default_rng(100), n=n)
         for level in levels:
             vals[level].append(metrics.sliced_wasserstein(
                 refined[t == level], refs[level], rng=np.random.default_rng(0)))
