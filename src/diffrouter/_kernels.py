@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy.
 
-The kernels compute in the dtype of their inputs (float32 for the dense
-layers of training and inference, float64 for AdamW on the master vector and
-for the gradient checks) and reuse one work array through `out=` ufuncs.
+The kernels compute in the dtype of their inputs (float32 for training,
+AdamW included, and for inference; float64 for the gradient checks) and reuse
+one work array through `out=` ufuncs.
 Their results are bit-identical to the plain expressions `h @ w.T + b`,
 `u * (1 + tanh(u))` with u = z / 2, and `s * (1 + z * (1 - s))` with
 s = (1 + tanh(z / 2)) / 2. SiLU is z * sigmoid(z), and sigmoid(z) is
@@ -50,26 +50,29 @@ def affine(h, w, b):
 
 
 def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, step):
-    """In-place AdamW step on p, m and v:
-        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        p -= lr ((m / (1 - b1^step)) / (sqrt(v / (1 - b2^step)) + eps) + wd p)
-    evaluated in that order, through two work arrays."""
-    s = np.multiply(1.0 - b1, g)
+    """In-place AdamW step on p, m and v, in the dtype of p, with the bias
+    corrections folded into two scalars (Kingma & Ba, section 2):
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+        c2 = sqrt(1 - b2^step)
+        p *= 1 - lr wd                                    (only when wd != 0)
+        p -= (lr c2 / (1 - b1^step)) (m / (sqrt(v) + eps c2))
+    evaluated in that order through one work array. The result is the
+    textbook p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p) up to rounding."""
+    c2 = (1.0 - b2**step) ** 0.5
+    s = np.multiply(1.0 - b1, g, dtype=p.dtype)
     m *= b1
     m += s
-    np.multiply(1.0 - b2, g, out=s)
-    s *= g
+    np.multiply(g, g, out=s)
+    s *= 1.0 - b2
     v *= b2
     v += s
-    np.divide(v, 1.0 - b2**step, out=s)
-    np.sqrt(s, out=s)
-    s += eps
-    u = np.divide(m, 1.0 - b1**step)
-    u /= s
-    np.multiply(wd, p, out=s)
-    u += s
-    u *= lr
-    p -= u
+    np.sqrt(v, out=s)
+    s += eps * c2
+    np.divide(m, s, out=s)
+    s *= lr * c2 / (1.0 - b1**step)
+    if wd:
+        p *= 1.0 - lr * wd
+    p -= s
 
 
 def sq_dists(a, b):

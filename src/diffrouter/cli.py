@@ -481,7 +481,8 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
                    log_path=run / log_rel)
     ckpt_rel = f"checkpoints/{ckpt_name}"
     router_mod.save_checkpoint(run / ckpt_rel, result.params,
-                               extra_header={"config_hash": config_hash(cfg)})
+                               extra_header={"config_hash": config_hash(cfg),
+                                             "topology": router_mod.topology_hash(topo.edges)})
     plot_rel = f"plots/{regime}-loss.svg"
     plot_training_log(result.log_rows, run / plot_rel, title=f"{regime} loss")
     update_manifest(run, cfg, {f"checkpoint-{regime}": ckpt_rel,
@@ -508,15 +509,18 @@ def cmd_train_scratch(args) -> int:
 def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
                     default: str) -> router_mod.RouterParams:
     """The parameters at `checkpoint`, else the run's `default` one; raises CliError
-    unless that exists and its T, domain count and data dimension are the run's."""
+    unless that exists and its T, domain count, data dimension and domain tree
+    (the header's `topology` hash of the edges) are the run's."""
     path = Path(checkpoint) if checkpoint else run / "checkpoints" / default
     if not path.exists():
         stage = {"paired.ckpt": "train-paired", "direct.ckpt": "finetune-direct"}[default]
         raise CliError(f"checkpoint not found: {path}; run {stage} first")
-    params, _ = router_mod.load_checkpoint(path)
+    params, header = router_mod.load_checkpoint(path)
+    tree = router_mod.topology_hash(build_instance_topology(cfg).edges)
     for key, have, want in (("n_timesteps", params.n_timesteps, cfg.T),
                             ("n_domains", params.n_domains, cfg.K),
-                            ("data_dim", params.data_dim, cfg.d)):
+                            ("data_dim", params.data_dim, cfg.d),
+                            ("topology", header.get("topology"), tree)):
         if have != want:
             raise CliError(f"{path}: checkpoint {key}={have} does not match "
                            f"this run's {want}")

@@ -1,9 +1,9 @@
 """Minimal dense-network core: forward, reverse-mode gradients, AdamW.
 
-Parameters are numpy arrays of one dtype: float32 for a training step's
-compute copy and for a loaded checkpoint, float64 for the master vector that
-AdamW updates. The forward and backward passes compute in the dtype of the
-weights; AdamW works in the dtype of its parameters. Weights
+Parameters are numpy arrays of one dtype: float32 for training and for a
+loaded checkpoint, float64 for the gradient checks. The forward and backward
+passes compute in the dtype of the weights, and AdamW updates the parameters
+in place in their own dtype. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
 between layers (none after the last). One loop, `forward_from_layer0`, runs
 the layers after the first from layer 0's pre-activation; `forward_cached`
@@ -13,7 +13,8 @@ network's parameters, its gradients and the optimizer's inputs all share one
 layout: a list of arrays in `param_list()` order, layer by layer the weight
 then the bias. `backward` can write its gradients into caller-owned arrays;
 the router passes views into one flat vector, so its optimizer step is one
-AdamW update of one array.
+AdamW update of one array. `backward` stops at layer 0's pre-activation: the
+router needs the input gradient of only its embedding columns.
 """
 
 from dataclasses import dataclass, field
@@ -115,25 +116,26 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 def backward(net: DenseNet, cache, output_grad: np.ndarray,
              out: list[np.ndarray] | None = None):
-    """Backpropagate output_grad; returns (gradients, input_grad), the
-    gradients a list in `param_list()` order. They are written into `out`
-    when it is given (arrays shaped like the parameters, of their dtype),
-    else into new arrays. output_grad is cast once to the weights' dtype."""
+    """Backpropagate output_grad; returns (gradients, gz), the gradients a
+    list in `param_list()` order and gz the gradient at layer 0's
+    pre-activation, (B, width_1) or (width_1,) like the output. A caller that
+    needs the gradient of some input columns multiplies gz by those columns
+    of the layer-0 weight. The gradients are written into `out` when it is
+    given (arrays shaped like the parameters, of their dtype), else into new
+    arrays. output_grad is cast once to the weights' dtype."""
     hs, zs, squeeze = cache
     g = np.atleast_2d(np.asarray(output_grad, dtype=net.weights[0].dtype))
     if g.shape != zs[-1].shape:
         raise ValueError(f"output grad shape {g.shape} != output shape {zs[-1].shape}")
     if out is None:
         out = [np.empty_like(p) for p in net.param_list()]
-    n_layers = len(net.weights)
-    for li in range(n_layers - 1, -1, -1):
-        if li < n_layers - 1:
-            g = g * _activate_grad(net, zs[li])
+    for li in range(len(net.weights) - 1, -1, -1):
         np.matmul(g.T, hs[li], out=out[2 * li])
         np.sum(g, axis=0, out=out[2 * li + 1])
-        g = g @ net.weights[li]
-    gx = g[0] if squeeze else g
-    return out, gx
+        if li:
+            g = g @ net.weights[li]
+            g *= _activate_grad(net, zs[li - 1])
+    return out, (g[0] if squeeze else g)
 
 
 @dataclass
@@ -159,13 +161,14 @@ class OptimizerState:
 def optimizer_step(state: OptimizerState, params: list[np.ndarray],
                    grads: list[np.ndarray]) -> None:
     """One in-place AdamW update of each array in `params` by the gradient at
-    the same index. Raises DivergenceError on non-finite grads."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+    the same index, in the dtype of the parameters. Raises DivergenceError on
+    non-finite grads, before anything is changed."""
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient encountered; run aborted")
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
     lr = state.effective_lr()
     state.step += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):

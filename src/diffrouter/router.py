@@ -14,10 +14,9 @@ each step multiplies only the d columns of x_t (`predict_noise`). Training
 builds the full input (`backbone_input`), because the backward pass needs it
 for layer 0's weight gradient.
 
-The backbone runs in the dtype of its weights. Training keeps a float64
-master copy and runs each step on a float32 cast of it (see train.py); a
-loaded checkpoint runs at the float32 it stores. Noise estimates are returned
-as float64 either way.
+The backbone runs in the dtype of its weights. Training and a loaded
+checkpoint are float32 (see train.py); float64 parameters serve the gradient
+checks. Noise estimates are returned as float64 either way.
 
 All parameters live in one contiguous vector, `RouterParams.flat`: the
 backbone weights and biases, layer by layer, then the embedding table, in
@@ -226,16 +225,16 @@ def forward_cached(params: RouterParams, x_t, t, x_src, tgt, src):
 
 def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray:
     """The gradient of <output, output_grad> as a vector in the layout and
-    dtype of `params.flat`; each row's embedding gradient goes to its labels."""
+    dtype of `params.flat`; each row's embedding gradient goes to its labels.
+    Of layer 0's input gradient only the 2 E embedding columns are formed."""
     net_cache, tgt, src = cache
     grads = np.empty_like(params.flat)
     *net_grads, emb_grad = _param_views(params, grads)
-    _, gx = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
-    gx = np.atleast_2d(gx)
+    _, gz = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     E = params.emb_dim
-    lo = 2 * params.data_dim + params.time_dim
-    np.matmul(_one_hot(tgt, params.n_domains, gx), gx[:, lo:lo + E], out=emb_grad)
-    emb_grad += _one_hot(src, params.n_domains, gx) @ gx[:, lo + E:lo + 2 * E]
+    g_emb = gz @ params.backbone.weights[0][:, 2 * params.data_dim + params.time_dim:]
+    np.matmul(_one_hot(tgt, params.n_domains, gz), g_emb[:, :E], out=emb_grad)
+    emb_grad += _one_hot(src, params.n_domains, gz) @ g_emb[:, E:]
     return grads
 
 
@@ -259,12 +258,6 @@ def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:
 def zeros_like_grads(params: RouterParams) -> RouterGrads:
     flat = np.zeros_like(params.flat)
     return RouterGrads(flat=flat, domain_emb=_param_views(params, flat)[-1])
-
-
-def as_float64(params: RouterParams) -> RouterParams:
-    """Independent float64 copy of params, e.g. of a loaded float32
-    checkpoint that is to be trained further."""
-    return replace(params, flat=params.flat.astype(np.float64))
 
 
 def freeze(params: RouterParams) -> RouterParams:

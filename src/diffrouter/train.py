@@ -4,7 +4,7 @@ Three regimes:
   paired-only: the bidirectional noise-matching loss on tree-edge pairs,
       giving the indirect translator (iDR in the report CSVs: mode=indirect).
   finetune: starts from a paired-only checkpoint; combines the unpaired
-      distillation loss (teacher = frozen float32 copy of the pretrained
+      distillation loss (teacher = frozen copy of the pretrained
       predictor, conditioned on the paired central sample) with a rehearsal
       paired term.
   from-scratch: same combined loss, but the reference predictor is the
@@ -13,12 +13,11 @@ Three regimes:
 The schedule's type picks the corruption: a `DiffusionSchedule` noises the target,
 a `BridgeSchedule` bridges the pair's two sides and supports paired training only.
 
-Training keeps a float64 master vector (`RouterParams.flat`) and float64
-AdamW state, and computes in float32: after each update the master vector is
-cast once into a float32 compute copy, whose forward and backward passes give
-a float32 gradient that is widened once for the AdamW step. A gradient is a
-flat vector in the layout of `RouterParams.flat`. Labels are per row, so a
-paired step is one forward and one backward pass over both directions.
+Training runs in float32 on one parameter vector: the trained
+`RouterParams.flat`, its gradient and the AdamW moments are all float32, and
+each step's AdamW update writes into `flat` in place. A gradient is a flat
+vector in the layout of `RouterParams.flat`. Labels are per row, so a paired
+step is one forward and one backward pass over both directions.
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -227,19 +226,20 @@ def _dataset_for_edge(datasets: list[PairedDataset], a: int, b: int) -> PairedDa
 def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
           sch, init_params: RouterParams | None = None,
           log_path=None) -> TrainResult:
-    """Run the configured regime; deterministic given cfg.seed."""
+    """Run the configured regime; deterministic given cfg.seed. Trains, in
+    place, a float32 copy of init_params (else of a fresh initialisation),
+    and returns it; init_params is left as it was."""
     for ds in datasets:
         if not topo.is_edge(*ds.edge):
             raise ValueError(f"dataset edge {ds.edge} is not in the topology")
     rng = np.random.default_rng(cfg.seed)
     d = datasets[0].x_a.shape[1]
     if init_params is None:
-        params = router_mod.init_router(d, topo.K, sch.T, list(cfg.hidden), rng,
-                                        time_dim=cfg.time_dim, emb_dim=cfg.emb_dim,
-                                        activation=cfg.activation,
-                                        out_scale=cfg.out_scale)
-    else:
-        params = router_mod.as_float64(init_params)
+        init_params = router_mod.init_router(d, topo.K, sch.T, list(cfg.hidden), rng,
+                                             time_dim=cfg.time_dim, emb_dim=cfg.emb_dim,
+                                             activation=cfg.activation,
+                                             out_scale=cfg.out_scale)
+    params = replace(init_params, flat=init_params.flat.astype(np.float32))
     if cfg.regime != "paired-only":
         params.kind = router_mod.KIND_DIRECT
 
@@ -247,12 +247,11 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
     opt = OptimizerState(lr=lr, warmup_steps=warmup)
     log = _WindowLog()
-    work = replace(params, flat=params.flat.astype(np.float32))
 
     if cfg.regime == "paired-only":
-        _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log)
+        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log)
     else:
-        _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log)
+        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
     if log.acc:  # the trailing partial window
         log.flush(cfg.steps, opt.effective_lr())
 
@@ -265,27 +264,20 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     return TrainResult(params=params, log_rows=log.rows)
 
 
-def _update(opt, params: RouterParams, work: RouterParams, grads: np.ndarray) -> None:
-    """AdamW on the float64 master vector by the widened float32 gradient,
-    then the step's one cast of the new values into the compute copy."""
-    optimizer_step(opt, [params.flat], [grads.astype(np.float64)])
-    np.copyto(work.flat, params.flat)
-
-
-def _run_paired(cfg, topo, datasets, sch, params, work, opt, rng, log):
+def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
     for step in range(1, cfg.steps + 1):
         ds = datasets[(step - 1) % len(datasets)]
         idx = rng.integers(0, len(ds), size=cfg.batch_size)
-        loss, grads = paired_loss_step(work, ds, idx, sch, rng, topo=topo)
+        loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
-        _update(opt, params, work, grads)
+        optimizer_step(opt, [params.flat], [grads])
         log.push(f"paired:{ds.edge[0]}-{ds.edge[1]}", loss)
         if step % cfg.log_window == 0:
             log.flush(step, opt.effective_lr())
 
 
-def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
+def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
     # each non-edge direction i -> j with its route resolved once: the hop
     # count, the first hop c, the (i, c) dataset and the dataset holding j
     directions = []
@@ -299,7 +291,7 @@ def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
     distances = sorted({route[2] for route in directions})
     if not cfg.curriculum:
         distances = [None]
-    ref = work if cfg.regime == "from-scratch" else freeze(work)
+    ref = params if cfg.regime == "from-scratch" else freeze(params)
     step = 0
     for phase, dist in enumerate(distances):
         if dist is None:
@@ -311,18 +303,18 @@ def _run_combined(cfg, topo, datasets, sch, params, work, opt, rng, log):
             if phase == len(distances) - 1:
                 phase_steps = cfg.steps - step
         if phase > 0 and cfg.regime == "finetune":
-            ref = freeze(work)  # distance-(h-1) directs teach the next phase
+            ref = freeze(params)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):
             step += 1
             i, j, _, c, ds_ic, ds_j = phase_dirs[(step - 1) % len(phase_dirs)]
             idx = rng.integers(0, len(ds_ic), size=cfg.batch_size)
             unpaired = (ds_ic.side(i)[idx], ds_ic.side(c)[idx], i, c, j, ds_j.side(j))
             paired_ds = datasets[(step - 1) % len(datasets)]
-            total, l_u, l_p, grads = final_loss_step(work, ref, paired_ds,
+            total, l_u, l_p, grads = final_loss_step(params, ref, paired_ds,
                                                      unpaired, cfg, sch, rng, topo)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
-            _update(opt, params, work, grads)
+            optimizer_step(opt, [params.flat], [grads])
             log.push(f"unpaired:{i}->{j}", l_u)
             if cfg.lambda2 > 0.0:
                 log.push(f"paired:{paired_ds.edge[0]}-{paired_ds.edge[1]}", l_p)

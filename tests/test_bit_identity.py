@@ -4,13 +4,15 @@ glyph views and the time-feature table.
 
 The dataset pins were produced by the per-row implementation the batched
 glyph views replaced. The checkpoint and loss-log pins come from training in
-float32 over the float64 master vector, with each paired step one pass over
-both directions; both changed the trained weights on purpose. The checkpoint
-pins were renewed again for the tanh-form SiLU, the per-label embedding
-gradient sum and the finetune teacher's layer-0 split, which round
-differently. The eval-report pins guard the forward-only path: the bound
-predictor of every reverse chain. Two fresh runs gave the same bytes before
-any pin was set. All were
+float32 in place, the AdamW moments float32 too and the bias corrections
+folded into two scalars, with each paired step one pass over both directions.
+Each of these changed the trained weights on purpose, as did the tanh-form
+SiLU, the per-label embedding gradient sum, the finetune teacher's layer-0
+split and the backward pass that forms only layer 0's embedding-column input
+gradient, which round differently. Checkpoints also record the hash of the
+domain tree's edges. The eval-report pins guard the forward-only path: the
+bound predictor of every reverse chain. Two fresh runs gave the same bytes
+before any pin was set. All were
 made on x86-64 with numpy 2.4 and its bundled OpenBLAS. Another BLAS build may
 round the dense layers differently; there, regenerate the pins from a checkout
 of the pinning code before trusting a difference.
@@ -48,11 +50,11 @@ RUNS = {
 PINS = {
     "gaussian-star": {
         "checkpoints/direct.ckpt":
-            "02d1e51399c45267c57a9832f221b12dbcdd0cb3646b6976148444eada505718",
+            "b39212f6f3fa2810ed34775b5fac9c00f65e5be1386301a0ff6f6f14ee3a1584",
         "checkpoints/paired.ckpt":
-            "ae31d121a68e7874a79991a9ab3e57090587d00d3e29cf26009dd7a23bdfc119",
+            "eeaab37a6688020e9c110fbb6901c060843a26c75150a610f6a8cca39ecd56bf",
         "checkpoints/scratch.ckpt":
-            "9e51943a6e7846420ff1d8340d6d20e533f89dbcbe5b45e942406a425059f56a",
+            "d8a887953b478f4ee26a86e7a4bcab9f68e06ea9bf124cd2344094fe90059311",
         "datasets/edge_1-0.bin":
             "9909778e0630eb33a429dc6a2ab72904f77d37d581db2d6bd81c57cb7ed443d7",
         "datasets/edge_2-0.bin":
@@ -60,7 +62,7 @@ PINS = {
         "datasets/eval.bin":
             "f8a957d3c1b7a1c77ce16a7525474393fa62595d8a5185681c121465753573db",
         "logs/finetune.csv":
-            "f7a4214f91b777039648b3a7b5526b3b08115313662fee5030021b0b65f5311b",
+            "a997ffebeb0bcf440b02bb3f45c1c9c1e5554d50dca42f8acbd6e50f491ecfc1",
         "logs/from-scratch.csv":
             "60497ca959b6235be6cc07566a6bee88c30f4c49b05d804e7643c9e51a70ced0",
         "logs/paired-only.csv":
@@ -72,11 +74,11 @@ PINS = {
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
-            "d3041b71802702554dff80983939d9f790ba87993778d3bf35a530beeb6fa1b3",
+            "74973898eaed4b1497c8c3dab165bd8bc4630e5f42817957b4d8330b549f1797",
         "checkpoints/paired.ckpt":
-            "d56d5dc47f7dcad7b1093180b855c0975606ad733a67690c5a16ebb1679e5883",
+            "5870b65f6ab625cd4e53703afa86a7cd8136111a3e356831cce7a73b4e103d63",
         "checkpoints/scratch.ckpt":
-            "63a8bc5b7e6c5499df0c74fbd88c7784ac059dc71084cf799273d9c80989d419",
+            "513a23fe42dd8e2a73adbb7ccc1f5a7cc6f2f00d83f4944b9e5a2f6f0994a940",
         "datasets/edge_1-0.bin":
             "4922318caaf612e283163772907bbbc2b24a398a7ffbf08788d468d589fbceab",
         "datasets/edge_2-0.bin":
@@ -92,7 +94,7 @@ PINS = {
         "reports/eval-direct-nonedges.csv":
             "f60a8ff4110f1411e220848f49209ea90add1bb0f32e22c8898eaae041e0959c",
         "reports/eval-indirect-all.csv":
-            "9533ccadd2e2d7d97de810a6e7ba64ce261102cf77a6292a8d407dc8b657a3c0",
+            "a393a524301761dc5324a79eb191c7cf2cf3fe7afc6fb930e4c0c2aa537d9e02",
     },
 }
 
@@ -160,7 +162,7 @@ def test_trained_params_are_views_of_one_vector(small_star, sch100):
     cfg = TrainConfig(steps=5, batch_size=16, hidden=(8, 8), warmup_steps=2, log_window=5)
     params = train(cfg, topo, datasets, sch100).params
     arrays = params.param_list()
-    assert params.flat.dtype == np.float64
+    assert params.flat.dtype == np.float32
     assert params.flat.size == sum(a.size for a in arrays)
     assert all(np.shares_memory(a, params.flat) for a in arrays)
     frozen = freeze(params)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffrouter import cli, router
+from diffrouter import cli, datagen, router
 from diffrouter.cli import (CliError, ExperimentConfig, child_seed, config_hash,
                             load_config, main, run_dir)
 from diffrouter.train import TrainConfig
@@ -543,7 +543,9 @@ def test_train_config_takes_every_shared_key(workspace, monkeypatch):
     monkeypatch.setattr(cli, "train", capture)
     assert main(["gen-data", *flags]) == 0
     params = router.init_router(cfg.d, cfg.K, cfg.T, [8], np.random.default_rng(0))
-    router.save_checkpoint(_run(root, cfg) / "checkpoints/paired.ckpt", params)
+    tree = router.topology_hash(cli.build_instance_topology(cfg).edges)
+    router.save_checkpoint(_run(root, cfg) / "checkpoints/paired.ckpt", params,
+                           extra_header={"topology": tree})
     for stage in ("train-paired", "finetune-direct", "train-scratch"):
         assert main([stage, *flags]) == 1
     assert main(["ablate", "lambda2", *flags]) == 0  # the failed cells are reported
@@ -596,14 +598,21 @@ def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch
     assert expect in _one_line_error(capsys, path)
 
 
+STAR_3 = router.topology_hash(datagen.Topology.star(3, 0).edges)
+CHAIN_3 = router.topology_hash(datagen.Topology.chain(3).edges)
+
+
 @pytest.mark.parametrize("override, have, want", [
     ("schedule.t=20", "n_timesteps=10", "20"),
     ("instance.k=4", "n_domains=3", "4"),
     ("instance.d=3", "data_dim=2", "3"),
+    # the same T, K and d on another tree: the header's edge hash tells them apart
+    ("instance.topology=chain", f"topology={STAR_3}", CHAIN_3),
 ])
 def test_checkpoint_of_another_run_is_one_line_error(trained_run, tmp_path, monkeypatch,
                                                     capsys, override, have, want):
-    """A checkpoint trained with other T, K or d is refused, not silently run."""
+    """A checkpoint trained with other T, K, d or domain tree is refused, not
+    silently run."""
     root, cfg_path = trained_run
     monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
     ckpt = root / "runs" / config_hash(load_config(cfg_path)) / "checkpoints/paired.ckpt"

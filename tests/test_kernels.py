@@ -98,6 +98,7 @@ def test_mmd_rbf_median_bandwidth_matches_direct_formula(rng):
 
 
 def _adamw_plain(p, g, m, v, lr, b1, b2, eps, wd, step):
+    """The textbook AdamW step, bias corrections applied to m and v."""
     m[:] = b1 * m + (1.0 - b1) * g
     v[:] = b2 * v + (1.0 - b2) * g * g
     mhat = m / (1.0 - b1**step)
@@ -105,13 +106,49 @@ def _adamw_plain(p, g, m, v, lr, b1, b2, eps, wd, step):
     p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
 
 
+def _adamw_folded(p, g, m, v, lr, b1, b2, eps, wd, step):
+    """The folded form as one plain expression per array."""
+    c2 = (1.0 - b2**step) ** 0.5
+    m[:] = b1 * m + (1.0 - b1) * g
+    v[:] = b2 * v + (1.0 - b2) * (g * g)
+    if wd:
+        p *= 1.0 - lr * wd
+    p -= (lr * c2 / (1.0 - b1**step)) * (m / (np.sqrt(v) + eps * c2))
+
+
+def _gradients(rng, dtype, n=4096, steps=5):
+    """Gradients over ten decades, so that eps matters for some entries."""
+    for _ in range(steps):
+        yield (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 2, size=n)).astype(dtype)
+
+
 @pytest.mark.parametrize("wd", [0.0, 0.01])
 def test_adamw_update_matches_plain_expression_bitwise(rng, wd):
-    state = [rng.standard_normal(4096), np.zeros(4096), np.zeros(4096)]
-    plain = [a.copy() for a in state]
-    for step in range(1, 6):
-        g = rng.standard_normal(4096) * 10.0 ** rng.uniform(-8, 2, size=4096)
-        _kernels.adamw_update(*state[:1], g, *state[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
-        _adamw_plain(*plain[:1], g, *plain[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
-        for a, b in zip(state, plain):
-            assert np.array_equal(a, b)
+    """The kernel is the folded plain expression, in float32 and in float64."""
+    for dtype in (np.float32, np.float64):
+        state = [rng.standard_normal(4096).astype(dtype), np.zeros(4096, dtype),
+                 np.zeros(4096, dtype)]
+        plain = [a.copy() for a in state]
+        for step, g in enumerate(_gradients(rng, dtype), start=1):
+            _kernels.adamw_update(*state[:1], g, *state[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
+            _adamw_folded(*plain[:1], g, *plain[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
+            for a, b in zip(state, plain):
+                assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_adamw_update_agrees_with_textbook_step(rng, dtype, rtol):
+    """Each step's update, with m and v carried over the steps, agrees in norm
+    with the textbook step computed in float64 from the same gradients (per
+    entry, float32 m loses digits where b1 m and (1 - b1) g cancel). It is
+    applied to a zero vector, so that it is read off p without the rounding
+    of p's own magnitude."""
+    m, v = np.zeros(4096, dtype), np.zeros(4096, dtype)
+    m_ref, v_ref = np.zeros(4096), np.zeros(4096)
+    for step, g in enumerate(_gradients(rng, dtype), start=1):
+        p, want = np.zeros(4096, dtype), np.zeros(4096)
+        _kernels.adamw_update(p, g, m, v, 3e-4, 0.9, 0.99, 1e-8, 0.0, step)
+        _adamw_plain(want, g.astype(np.float64), m_ref, v_ref, 3e-4, 0.9, 0.99, 1e-8,
+                     0.0, step)
+        assert p.dtype == dtype
+        assert np.linalg.norm(p - want) <= rtol * np.linalg.norm(want)

@@ -52,9 +52,9 @@ def test_forward_dimension_mismatch(rng):
 def test_backward_zero_output_grad(rng):
     net = init_dense([4, 6, 3], rng)
     _, cache = forward_cached(net, rng.standard_normal((2, 4)))
-    grads, gx = backward(net, cache, np.zeros((2, 3)))
+    grads, gz = backward(net, cache, np.zeros((2, 3)))
     assert all(np.all(g == 0) for g in grads)
-    assert np.all(gx == 0)
+    assert np.all(gz == 0)
 
 
 def test_backward_linear_mse_analytic(rng):
@@ -140,6 +140,23 @@ def test_divergence_error_on_nonfinite_grads(rng):
     bad = [np.full_like(p, np.nan) for p in net.param_list()]
     with pytest.raises(DivergenceError):
         optimizer_step(OptimizerState(lr=1e-3), net.param_list(), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_float32_grad_changes_nothing(rng, bad):
+    """One non-finite entry in a float32 gradient raises before p, m, v or the
+    step count move."""
+    p = rng.standard_normal(64).astype(np.float32)
+    state = OptimizerState(lr=1e-3)
+    optimizer_step(state, [p], [rng.standard_normal(64).astype(np.float32)])
+    before = [p.copy(), state.m[0].copy(), state.v[0].copy()]
+    g = rng.standard_normal(64).astype(np.float32)
+    g[17] = bad
+    with pytest.raises(DivergenceError):
+        optimizer_step(state, [p], [g])
+    assert state.step == 1
+    for a, b in zip([p, state.m[0], state.v[0]], before):
+        assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
 def test_training_determinism():

@@ -250,7 +250,7 @@ def test_loaded_checkpoint_runs_in_float32(tmp_path, params, rng):
     save_checkpoint(path, params)
     back, _ = load_checkpoint(path)
     assert all(p.dtype == np.float32 for p in back.param_list())
-    wide = router.as_float64(back)
+    wide = replace(back, flat=back.flat.astype(np.float64))
     for p, q in zip(back.param_list(), wide.param_list()):
         assert q.dtype == np.float64 and np.array_equal(p, q)
         assert not np.shares_memory(p, q)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,7 +240,8 @@ def test_float32_checkpoint_translation_tracks_float64(small_star, sch100, tmp_p
     loaded, _ = router.load_checkpoint(path)
     req = TranslationRequest(x_src=tuples.domain(1)[:200], src=1, tgt=2, seed=3)
     got = translate(loaded, req, topo, sch100)
-    want = translate(router.as_float64(loaded), req, topo, sch100)
+    wide = replace(loaded, flat=loaded.flat.astype(np.float64))
+    want = translate(wide, req, topo, sch100)
     assert got.total_steps == 200
     assert got.x_tgt.dtype == np.float64
     assert np.max(np.abs(got.x_tgt - want.x_tgt)) < 1e-4

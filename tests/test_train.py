@@ -303,27 +303,29 @@ def test_train_logs_trailing_partial_window(setup, sch100):
     assert {row[0] for row in train(short, topo, datasets, sch100).log_rows} == {5}
 
 
-def test_train_from_loaded_checkpoint_is_float64(setup, sch100, tmp_path):
-    """A float32 checkpoint trains on as its exact float64 widening."""
+def test_train_from_loaded_checkpoint_is_float32(setup, sch100, tmp_path):
+    """A float32 checkpoint trains on in float32 from the values it stores, as
+    float64 parameters do from their float32 rounding; train() copies its
+    initial parameters and leaves them as they were."""
     topo, datasets, *_, params = setup
     path = tmp_path / "p.ckpt"
     router.save_checkpoint(path, params)
     loaded, _ = router.load_checkpoint(path)
+    kept = loaded.flat.copy()
     cfg = TrainConfig(regime="finetune", steps=10, batch_size=16, seed=4,
                       n_refine=1, hidden=(16, 16))
     a = train(cfg, topo, datasets, sch100, init_params=loaded)
-    for p in params.param_list():
-        p[...] = p.astype(np.float32)  # the values the file holds, kept float64
     b = train(cfg, topo, datasets, sch100, init_params=params)
     for p, q in zip(a.params.param_list(), b.params.param_list()):
-        assert p.dtype == np.float64 and np.array_equal(p, q)
+        assert p.dtype == np.float32 and np.array_equal(p, q)
     assert all(p.dtype == np.float32 for p in loaded.param_list())
+    assert np.array_equal(loaded.flat, kept)
 
 
-def test_training_computes_in_float32_over_float64_master(setup, sch100, rng, monkeypatch):
+def test_training_updates_params_flat_in_float32(setup, sch100, rng, monkeypatch):
     """A float32 fwd+bwd gives the float64 gradient to a relative 1e-4;
-    train() keeps the master vector and the AdamW state in float64, widens
-    each gradient for the update and distils from a float32 teacher."""
+    train() runs AdamW in place on the returned `params.flat`, with float32
+    gradients, moments and parameters, and distils from a float32 teacher."""
     topo, datasets, *_, params = setup
     narrow = replace(params, flat=params.flat.astype(np.float32))
     x_t, x_src = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
@@ -336,14 +338,15 @@ def test_training_computes_in_float32_over_float64_master(setup, sch100, rng, mo
     wide, low = grads
     assert wide.dtype == np.float64 and low.dtype == np.float32
     assert np.linalg.norm(low - wide) <= 1e-4 * np.linalg.norm(wide)
-    net_grads, gx = netcore.backward(narrow.backbone, cache[0], g_out)
-    assert {a.dtype for a in net_grads} == {gx.dtype} == {np.dtype(np.float32)}
+    net_grads, gz = netcore.backward(narrow.backbone, cache[0], g_out)
+    assert {a.dtype for a in net_grads} == {gz.dtype} == {np.dtype(np.float32)}
 
-    states, teachers = [], []
+    states, updated, teachers = [], [], []
 
     def spy_step(state, ps, gs):
-        assert [a.dtype for a in ps + gs] == [np.float64, np.float64]
+        assert [a.dtype for a in ps + gs] == [np.float32, np.float32]
         states.append(state)
+        updated.extend(ps)
         optimizer_step(state, ps, gs)
 
     def spy_freeze(p):
@@ -356,12 +359,14 @@ def test_training_computes_in_float32_over_float64_master(setup, sch100, rng, mo
     cfg = TrainConfig(regime="finetune", steps=10, batch_size=16, seed=4,
                       n_refine=1, hidden=(16, 16))
     result = train(cfg, topo, datasets, sch100, init_params=params)
-    assert result.params.flat.dtype == np.float64
+    assert len(updated) == 10 and all(p is result.params.flat for p in updated)
+    assert result.params.flat.dtype == np.float32
     assert len(states) == 10 and all(state is states[0] for state in states)
     opt = states[0]
-    assert opt.step == 10 and [a.dtype for a in opt.m + opt.v] == [np.float64] * 2
+    assert opt.step == 10 and [a.dtype for a in opt.m + opt.v] == [np.float32] * 2
     assert teachers and all(p.dtype == np.float32 for p in teachers[0].param_list())
     assert np.array_equal(teachers[0].flat, params.flat.astype(np.float32))
+    assert not np.shares_memory(teachers[0].flat, result.params.flat)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
