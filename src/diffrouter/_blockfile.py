@@ -1,9 +1,12 @@
-"""The header-plus-blocks file format shared by checkpoints and datasets.
+"""The one atomic file writer, and the block file format of checkpoints and
+datasets. Every file a run leaves behind reaches disk through `write_atomic`,
+so a crash mid-write leaves the old file, never a truncated one.
 
-A file is a magic line, one "key=value" line per header entry, a "---" line,
-then per array a little-endian uint32 element count followed by the values
-as little-endian float32. What the header keys mean and how many blocks
-follow is up to each file kind; this module only writes and reads the frame.
+A block file is a magic line, one "key=value" line per header entry, a "---"
+line, then per array a little-endian uint32 element count followed by the
+values as little-endian float32. What the header keys mean and how many
+blocks follow is up to each file kind; this module only writes and reads the
+frame.
 """
 
 import os
@@ -15,23 +18,33 @@ import numpy as np
 _SEP = b"\n---\n"
 
 
-def write_blocks(path, magic: str, header: dict, arrays) -> None:
-    """Write atomically: to a temp file beside `path`, then os.replace.
-    Header lines keep the dict's order."""
+def write_atomic(path, parts) -> None:
+    """Write the str (as UTF-8) and bytes-like `parts`, in order, to
+    `<path>.tmp`, then os.replace it over `path`. If a part or the write
+    fails, the temp file is removed and `path` keeps its old bytes."""
     path = os.fspath(path)
-    lines = [magic] + [f"{k}={v}" for k, v in header.items()] + ["---"]
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-            for arr in arrays:
-                flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-                fh.write(struct.pack("<I", flat.size))
-                fh.write(flat.tobytes())
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed before the rename
             os.remove(tmp)
+
+
+def write_blocks(path, magic: str, header: dict, arrays) -> None:
+    """Write a block file with `write_atomic`. Header lines keep the dict's order."""
+    write_atomic(path, _frame(magic, header, arrays))
+
+
+def _frame(magic: str, header: dict, arrays):
+    yield "\n".join([magic] + [f"{k}={v}" for k, v in header.items()] + ["---"]) + "\n"
+    for arr in arrays:
+        flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+        yield struct.pack("<I", flat.size)
+        yield flat  # its buffer, not a tobytes() copy
 
 
 def read_blocks(path, magic: str) -> tuple[dict, list[np.ndarray]]:

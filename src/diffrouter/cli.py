@@ -6,23 +6,27 @@ Every run resolves an INI config, hashes it, and owns
 creates that directory; the later stages refuse a config it never ran. Re-running a
 subcommand with the same config and seed reproduces byte-identical CSV and SVG
 outputs. The output root can be overridden with DIFFROUTER_OUTPUT_ROOT.
+
+The library returns data (loss log rows, metric records); this module writes
+every text artifact, and decides the CSV format and the SVG frame.
 """
 
 import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datagen, metrics
+from . import __version__, _blockfile, datagen, metrics
 from . import router as router_mod
 from .datagen import FAMILIES
 from .netcore import ACTIVATIONS, DivergenceError
@@ -34,6 +38,10 @@ SUBDIRS = ("datasets", "checkpoints", "logs", "reports", "plots")
 
 REFINE_SWEEP = (0, 1, 3, 5)
 LAMBDA2_SWEEP = (0.0, 0.3, 1.0, 3.0)
+
+LOG_COLUMNS = ["step", "direction", "loss", "lr"]
+REPORT_COLUMNS = ["src", "tgt", "mode", "sliced_w2", "mmd", "rmse", "steps",
+                  "n_samples", "seed", "config_hash"]
 
 
 class CliError(RuntimeError):
@@ -171,6 +179,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise CliError(str(exc)) from None
     if not 0 <= cfg.central < cfg.K:  # a chain ignores the key, but it must still be valid
         raise CliError(f"central domain {cfg.central} out of range")
+    if not np.isfinite(cfg.edge_shift):
+        raise CliError(f"instance.edge_shift must be finite, got {cfg.edge_shift}")
+    if cfg.edge_shift != 0.0 and (cfg.family, cfg.topology) != ("gaussian-affine", "star"):
+        raise CliError(f"instance.edge_shift={cfg.edge_shift} applies only to a "
+                       f"gaussian-affine star, not a {cfg.family} {cfg.topology}")
     if cfg.profile not in PROFILES:
         raise CliError(f"unknown schedule profile {cfg.profile!r}")
     if cfg.variant not in VARIANTS:
@@ -233,7 +246,7 @@ def run_dir(cfg: ExperimentConfig) -> Path:
         for section, group in groupby(_INI_KEY.items(), key=lambda item: item[1][0]):
             blocks.append("\n".join([f"[{section}]"] + [
                 f"{key} = {_ini_text(getattr(cfg, name))}" for name, (_, key) in group]))
-        cfg_copy.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        _blockfile.write_atomic(cfg_copy, ["\n\n".join(blocks) + "\n"])
     return run
 
 
@@ -248,6 +261,15 @@ def _read_json(path: Path, parse):
         return parse(json.loads(path.read_text(encoding="utf-8")))
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"{path}: damaged file: {type(exc).__name__}: {exc}") from None
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV file of `header` and `rows`, float cells written as `.6g`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row] for row in rows)
+    _blockfile.write_atomic(path, [buf.getvalue()])
 
 
 def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str],
@@ -266,8 +288,7 @@ def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str],
     for name, values in settings.items():
         manifest.setdefault("settings", {})[name] = values
     manifest["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _blockfile.write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +315,37 @@ def _edge_file(a: int, b: int) -> str:
     return f"datasets/edge_{a}-{b}.bin"
 
 
+def _check_match(path: Path, what: str, checks) -> None:
+    """Raise a CliError naming `path` at the first (key, have, want) of
+    `checks` where the file's value is not this run's."""
+    for key, have, want in checks:
+        if have != want:
+            raise CliError(f"{path}: {what} {key}={have} does not match this run's {want}")
+
+
 def load_run_data(cfg: ExperimentConfig, run: Path):
-    """Load datasets written by gen-data; raises if they are missing. The
-    reading stages call this before they write anything into `run`."""
+    """Load datasets written by gen-data; raises if they are missing or were
+    made for another edge, K or d. The reading stages call this before they
+    write anything into `run`."""
     topo = build_instance_topology(cfg)
     datasets = []
     for a, b in topo.edges:
         path = run / _edge_file(a, b)
         if not path.exists():
             raise CliError(f"missing dataset {path}; run gen-data first")
-        datasets.append(datagen.load_paired_dataset(path))
-    tuples = datagen.load_eval_tuples(run / "datasets/eval.bin")
-    inst_path = run / "datasets/instance.json"
+        ds = datagen.load_paired_dataset(path)
+        _check_match(path, "dataset", (("edge", "{}-{}".format(*ds.edge), f"{a}-{b}"),
+                                       ("d", ds.x_a.shape[1], cfg.d)))
+        datasets.append(ds)
+    path = run / "datasets/eval.bin"
+    tuples = datagen.load_eval_tuples(path)
+    _check_match(path, "eval tuples", zip(("K", "d"), tuples.samples.shape[1:], (cfg.K, cfg.d)))
+    path = run / "datasets/instance.json"
     inst = None
-    if inst_path.exists():
-        inst = _read_json(inst_path, datagen.instance_from_dict)
-        for key, have, want in (("K", inst.K, cfg.K), ("data_dim", inst.data_dim, cfg.d)):
-            if have != want:
-                raise CliError(f"{inst_path}: instance {key}={have} does not match "
-                               f"this run's {want}")
+    if path.exists():
+        inst = _read_json(path, datagen.instance_from_dict)
+        _check_match(path, "instance", (("K", inst.K, cfg.K),
+                                        ("data_dim", inst.data_dim, cfg.d)))
     return topo, datasets, tuples, inst
 
 
@@ -337,10 +370,19 @@ def nonedge_directions(topo: datagen.Topology) -> list[tuple[int, int]]:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_open(width: int, height: int) -> list[str]:
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>']
+def _svg(W: int, H: int, pad: int, title: str, body: list[str], footer: str) -> str:
+    """One plot: the canvas, the axis box, the title, then `body` and the footer."""
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+           f'height="{H}" viewBox="0 0 {W} {H}">',
+           f'<rect width="{W}" height="{H}" fill="white"/>',
+           f'<rect x="{pad}" y="{pad}" width="{W - 2 * pad}" '
+           f'height="{H - 2 * pad}" fill="none" stroke="#888"/>']
+    if title:
+        out.append(f'<text x="{W // 2}" y="20" text-anchor="middle" '
+                   f'font-size="13">{title}</text>')
+    out += body
+    out.append(f'<text x="{pad}" y="{H - 8}" font-size="10">{footer}</text>')
+    return "\n".join(out + ["</svg>"]) + "\n"
 
 
 def _fit(vals, lo_pix, hi_pix):
@@ -355,7 +397,7 @@ def _fit(vals, lo_pix, hi_pix):
     return to_pix, vmin, vmax
 
 
-def emit_scatter_svg(path, groups: list[tuple[str, np.ndarray]], title: str = "") -> None:
+def scatter_svg(groups: list[tuple[str, np.ndarray]], title: str = "") -> str:
     """groups: (label, (n, >=2) points); only the first two coordinates are
     drawn. Deterministic output, no timestamps."""
     if not groups or all(len(g[1]) == 0 for g in groups):
@@ -364,28 +406,21 @@ def emit_scatter_svg(path, groups: list[tuple[str, np.ndarray]], title: str = ""
     pts = np.concatenate([np.atleast_2d(g[1])[:, :2] for g in groups])
     fx, xmin, xmax = _fit(pts[:, 0], pad, W - pad)
     fy, ymin, ymax = _fit(pts[:, 1], H - pad, pad)
-    out = _svg_open(W, H)
-    out.append(f'<rect x="{pad}" y="{pad}" width="{W - 2 * pad}" '
-               f'height="{H - 2 * pad}" fill="none" stroke="#888"/>')
-    if title:
-        out.append(f'<text x="{W // 2}" y="20" text-anchor="middle" '
-                   f'font-size="13">{title}</text>')
+    body = []
     for gi, (label, arr) in enumerate(groups):
         color = _PALETTE[gi % len(_PALETTE)]
         arr = np.atleast_2d(arr)[:, :2]
         for x, y in zip(fx(arr[:, 0]), fy(arr[:, 1])):
-            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}" '
-                       f'fill-opacity="0.55"/>')
-        out.append(f'<text x="{pad + 4}" y="{pad + 14 + 14 * gi}" font-size="11" '
-                   f'fill="{color}">{label}</text>')
-    out.append(f'<text x="{pad}" y="{H - 8}" font-size="10">[{xmin:.3g}, {xmax:.3g}] x '
-               f'[{ymin:.3g}, {ymax:.3g}]</text>')
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+            body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}" '
+                        f'fill-opacity="0.55"/>')
+        body.append(f'<text x="{pad + 4}" y="{pad + 14 + 14 * gi}" font-size="11" '
+                    f'fill="{color}">{label}</text>')
+    return _svg(W, H, pad, title, body,
+                f"[{xmin:.3g}, {xmax:.3g}] x [{ymin:.3g}, {ymax:.3g}]")
 
 
-def emit_line_svg(path, series: list[tuple[str, np.ndarray, np.ndarray]],
-                  title: str = "", log_y: bool = False) -> None:
+def line_svg(series: list[tuple[str, np.ndarray, np.ndarray]],
+             title: str = "", log_y: bool = False) -> str:
     """series: (label, xs, ys) line plots sharing one axis box."""
     series = [(lbl, np.asarray(xs, float), np.asarray(ys, float))
               for lbl, xs, ys in series if len(xs)]
@@ -398,36 +433,29 @@ def emit_line_svg(path, series: list[tuple[str, np.ndarray, np.ndarray]],
         all_y = np.log10(np.maximum(all_y, 1e-12))
     fx, xmin, xmax = _fit(all_x, pad, W - pad)
     fy, ymin, ymax = _fit(all_y, H - pad, pad)
-    out = _svg_open(W, H)
-    out.append(f'<rect x="{pad}" y="{pad}" width="{W - 2 * pad}" '
-               f'height="{H - 2 * pad}" fill="none" stroke="#888"/>')
-    if title:
-        out.append(f'<text x="{W // 2}" y="20" text-anchor="middle" '
-                   f'font-size="13">{title}</text>')
+    body = []
     for si, (label, xs, ys) in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
         if log_y:
             ys = np.log10(np.maximum(ys, 1e-12))
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(fx(xs), fy(ys)))
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        out.append(f'<text x="{W - pad - 4}" y="{pad + 14 + 14 * si}" font-size="11" '
-                   f'text-anchor="end" fill="{color}">{label}</text>')
+        body.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5"/>')
+        body.append(f'<text x="{W - pad - 4}" y="{pad + 14 + 14 * si}" font-size="11" '
+                    f'text-anchor="end" fill="{color}">{label}</text>')
     axis = "log10(y)" if log_y else "y"
-    out.append(f'<text x="{pad}" y="{H - 8}" font-size="10">x in [{xmin:.3g}, '
-               f'{xmax:.3g}], {axis} in [{ymin:.3g}, {ymax:.3g}]</text>')
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    return _svg(W, H, pad, title, body, f"x in [{xmin:.3g}, {xmax:.3g}], "
+                f"{axis} in [{ymin:.3g}, {ymax:.3g}]")
 
 
-def plot_training_log(log_rows, path, title: str) -> None:
+def loss_svg(log_rows, title: str) -> str:
     by_dir: dict[str, tuple[list, list]] = {}
     for step, direction, loss, _lr in log_rows:
         xs, ys = by_dir.setdefault(direction, ([], []))
         xs.append(step)
         ys.append(loss)
     series = [(d, np.array(xs), np.array(ys)) for d, (xs, ys) in sorted(by_dir.items())]
-    emit_line_svg(path, series, title=title, log_y=True)
+    return line_svg(series, title=title, log_y=True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +474,8 @@ def cmd_gen_data(args) -> int:
     datagen.save_eval_tuples(run / "datasets/eval.bin", tuples, meta)
     artifacts["eval-tuples"] = "datasets/eval.bin"
     if inst is not None:
-        (run / "datasets/instance.json").write_text(
-            json.dumps(datagen.instance_to_dict(inst), sort_keys=True) + "\n")
+        _blockfile.write_atomic(run / "datasets/instance.json", [
+            json.dumps(datagen.instance_to_dict(inst), sort_keys=True) + "\n"])
         artifacts["instance"] = "datasets/instance.json"
     update_manifest(run, cfg, artifacts, {})
     print(f"gen-data: wrote {len(datasets)} edge datasets + eval tuples to {run}")
@@ -476,15 +504,15 @@ def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     if regime == "finetune":
         init_params = _load_predictor(run, cfg, args.init_checkpoint, "paired.ckpt")
     tcfg = _train_config(cfg, regime, getattr(cfg, steps_field), seed_key=regime)
+    result = train(tcfg, topo, datasets, sch, init_params=init_params)
     log_rel = f"logs/{regime}.csv"
-    result = train(tcfg, topo, datasets, sch, init_params=init_params,
-                   log_path=run / log_rel)
+    _write_csv(run / log_rel, LOG_COLUMNS, result.log_rows)
     ckpt_rel = f"checkpoints/{ckpt_name}"
     router_mod.save_checkpoint(run / ckpt_rel, result.params,
                                extra_header={"config_hash": config_hash(cfg),
                                              "topology": router_mod.topology_hash(topo.edges)})
     plot_rel = f"plots/{regime}-loss.svg"
-    plot_training_log(result.log_rows, run / plot_rel, title=f"{regime} loss")
+    _blockfile.write_atomic(run / plot_rel, [loss_svg(result.log_rows, f"{regime} loss")])
     update_manifest(run, cfg, {f"checkpoint-{regime}": ckpt_rel,
                                f"log-{regime}": log_rel,
                                f"plot-{regime}": plot_rel}, {})
@@ -517,13 +545,10 @@ def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
         raise CliError(f"checkpoint not found: {path}; run {stage} first")
     params, header = router_mod.load_checkpoint(path)
     tree = router_mod.topology_hash(build_instance_topology(cfg).edges)
-    for key, have, want in (("n_timesteps", params.n_timesteps, cfg.T),
-                            ("n_domains", params.n_domains, cfg.K),
-                            ("data_dim", params.data_dim, cfg.d),
-                            ("topology", header.get("topology"), tree)):
-        if have != want:
-            raise CliError(f"{path}: checkpoint {key}={have} does not match "
-                           f"this run's {want}")
+    _check_match(path, "checkpoint", (("n_timesteps", params.n_timesteps, cfg.T),
+                                      ("n_domains", params.n_domains, cfg.K),
+                                      ("data_dim", params.data_dim, cfg.d),
+                                      ("topology", header.get("topology"), tree)))
     return params
 
 
@@ -551,11 +576,8 @@ def cmd_translate(args) -> int:
                              mode=args.mode, steps=args.steps, seed=args.seed)
     result = translate(params, req, topo, sch)
     rel = f"reports/translate-{args.src}-{args.tgt}-{args.mode}.csv"
-    with open(run / rel, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k}" for k in range(x_src.shape[1])])
-        for row in np.atleast_2d(result.x_tgt):
-            writer.writerow([f"{v:.6g}" for v in row])
+    _write_csv(run / rel, [f"x{k}" for k in range(x_src.shape[1])],
+               np.atleast_2d(result.x_tgt))
     artifacts = {f"translate-{args.src}-{args.tgt}-{args.mode}": rel}
     if args.plot:
         groups = [("source", x_src), ("output", np.atleast_2d(result.x_tgt))]
@@ -566,8 +588,8 @@ def cmd_translate(args) -> int:
         else:
             groups.append(("target-aligned", tuples.domain(args.tgt)[:n]))
         plot_rel = f"plots/translate-{args.src}-{args.tgt}-{args.mode}.svg"
-        emit_scatter_svg(run / plot_rel, groups,
-                         title=f"{args.src}->{args.tgt} ({args.mode})")
+        _blockfile.write_atomic(run / plot_rel, [
+            scatter_svg(groups, title=f"{args.src}->{args.tgt} ({args.mode})")])
         artifacts[f"plot-translate-{args.src}-{args.tgt}"] = plot_rel
     # a later call with other arguments replaces these files under the same names
     made_by = {"checkpoint": args.checkpoint or f"checkpoints/{default_ckpt}",
@@ -584,15 +606,15 @@ def cmd_eval(args) -> int:
     topo, _datasets, tuples, inst = load_run_data(cfg, run)
     params = _load_predictor(run, cfg, args.checkpoint, _mode_checkpoint(args.mode))
     sch = build_schedule(cfg)
-    report = metrics.evaluate_checkpoint(
+    records = metrics.evaluate_checkpoint(
         params, tuples, topo, topo.directions(args.directions), args.mode, sch, inst=inst,
         n_eval=cfg.n_eval, seed=child_seed(cfg.seed, "eval"),
-        steps=cfg.eval_steps, projections=cfg.projections,
-        config_hash=config_hash(cfg))
+        steps=cfg.eval_steps, projections=cfg.projections)
     rel = f"reports/eval-{args.mode}-{args.directions}.csv"
-    metrics.write_report_csv(run / rel, report)
+    _write_csv(run / rel, REPORT_COLUMNS,
+               [(*astuple(rec), config_hash(cfg)) for rec in records])
     update_manifest(run, cfg, {f"eval-{args.mode}-{args.directions}": rel}, {})
-    for rec in report.records:
+    for rec in records:
         print(f"eval: {rec.src}->{rec.tgt} mode={rec.mode} "
               f"sliced_w2={rec.sliced_w2:.4g} mmd={rec.mmd:.4g} "
               f"rmse={rec.rmse:.4g} steps={rec.steps}")
@@ -620,28 +642,24 @@ def cmd_ablate(args) -> int:
                                  seed_key=f"ablate-{name}-{value}",
                                  lambda2=lam2, n_refine=n_ref)
             result = train(tcfg, topo, datasets, sch, init_params=init_params)
-            report = metrics.evaluate_checkpoint(
+            records = metrics.evaluate_checkpoint(
                 result.params, tuples, topo, directions, "direct", sch,
                 inst=inst, n_eval=cfg.n_eval, seed=child_seed(cfg.seed, "eval"),
-                steps=cfg.eval_steps, projections=cfg.projections,
-                config_hash=config_hash(cfg))
-            sw = float(np.mean([r.sliced_w2 for r in report.records]))
-            rows.append((name, value, f"{sw:.6g}", "ok"))
+                steps=cfg.eval_steps, projections=cfg.projections)
+            sw = float(np.mean([r.sliced_w2 for r in records]))
+            rows.append((name, str(value), f"{sw:.6g}", "ok"))  # str: as the sweep lists it
         except (CliError, DivergenceError, ValueError) as exc:
-            rows.append((name, value, "", f"failed: {exc}"))
+            rows.append((name, str(value), "", f"failed: {exc}"))
     rel = f"reports/ablate-{args.sweep}.csv"
-    with open(run / rel, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "value", "mean_sliced_w2", "status"])
-        writer.writerows(rows)
+    _write_csv(run / rel, ["sweep", "value", "mean_sliced_w2", "status"], rows)
     ok = [(float(v), float(sw)) for _, v, sw, st in rows if st == "ok"]
     artifacts = {f"ablate-{args.sweep}": rel}
     if ok:
         xs = np.array([x for x, _ in ok])
         ys = np.array([y for _, y in ok])
         plot_rel = f"plots/ablate-{args.sweep}.svg"
-        emit_line_svg(run / plot_rel, [(args.sweep, xs, ys)],
-                      title=f"sliced W2 vs {args.sweep}")
+        _blockfile.write_atomic(run / plot_rel, [
+            line_svg([(args.sweep, xs, ys)], title=f"sliced W2 vs {args.sweep}")])
         artifacts[f"plot-ablate-{args.sweep}"] = plot_rel
     update_manifest(run, cfg, artifacts, {})
     for row in rows:

@@ -385,6 +385,8 @@ def _build_instance(topo: Topology, d: int, N: int, M: int, family: str,
                     seed: int, edge_shift: float = 0.0):
     """Shared machinery: draws one latent pool, cuts disjoint slices per edge
     and for evaluation, and maps latents through the family's domain views."""
+    if edge_shift != 0.0 and family != "gaussian-affine":
+        raise ValueError(f"edge_shift applies only to the gaussian-affine family, not {family}")
     rng = np.random.default_rng(seed)
     K = topo.K
     n_pool = (K - 1) * N + M
@@ -420,7 +422,7 @@ def _build_instance(topo: Topology, d: int, N: int, M: int, family: str,
     for e_idx, (a, b) in enumerate(topo.edges):
         idx = np.arange(e_idx * N, (e_idx + 1) * N)
         z = pool[idx].copy()
-        if edge_shift != 0.0 and family == "gaussian-affine":
+        if edge_shift != 0.0:
             z = z + edge_shift * e_idx
         all_views = views(z, rng)
         datasets.append(PairedDataset(edge=(a, b), x_a=all_views[:, a, :],

@@ -5,10 +5,12 @@ Gaussian KL utilities, and the executable decomposition / bound checks used by
 Distributional acceptance thresholds are stated relative to the "oracle
 self-distance": the metric value between two independent ground-truth sample
 sets of the same size, which acts as the estimator noise floor.
+
+`evaluate_checkpoint` returns one record per direction; the CLI writes them
+as the eval report.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,21 +112,16 @@ class MetricsRecord:
     seed: int
 
 
-@dataclass
-class MetricsReport:
-    records: list[MetricsRecord] = field(default_factory=list)
-    config_hash: str = ""
-
-
 def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: str,
                         sch, *, inst: GaussianInstance | None = None, n_eval: int = 500,
-                        seed: int = 0, steps: int = 0, projections: int = 128,
-                        config_hash: str = "") -> MetricsReport:
+                        seed: int = 0, steps: int = 0,
+                        projections: int = 128) -> list[MetricsRecord]:
     """Translate eval-tuple sources for each (src, tgt) direction and compare
     against aligned targets (RMSE) and against the target conditional
     population (sliced W2 and MMD; analytic samples when the instance is
-    gaussian-affine, held-out real targets otherwise)."""
-    report = MetricsReport(config_hash=config_hash)
+    gaussian-affine, held-out real targets otherwise). One record per
+    direction, in order."""
+    records = []
     rng = np.random.default_rng(seed)
     for src, tgt in directions:
         x_src = tuples.domain(src)[:n_eval]
@@ -144,24 +141,10 @@ def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: s
                                 rng=proj_rng)
         mmd = mmd_rbf(result.x_tgt[:250], reference[:250])
         rmse = float(np.sqrt(np.mean((result.x_tgt - target_aligned) ** 2)))
-        report.records.append(MetricsRecord(
+        records.append(MetricsRecord(
             src=src, tgt=tgt, mode=mode, sliced_w2=sw, mmd=mmd, rmse=rmse,
             steps=result.total_steps, n_samples=len(x_src), seed=seed))
-    return report
-
-
-REPORT_COLUMNS = ["src", "tgt", "mode", "sliced_w2", "mmd", "rmse", "steps",
-                  "n_samples", "seed", "config_hash"]
-
-
-def write_report_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in report.records:
-            writer.writerow([r.src, r.tgt, r.mode, f"{r.sliced_w2:.6g}",
-                             f"{r.mmd:.6g}", f"{r.rmse:.6g}", r.steps,
-                             r.n_samples, r.seed, report.config_hash])
+    return records
 
 
 # ---------------------------------------------------------------------------

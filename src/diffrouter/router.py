@@ -86,17 +86,6 @@ class RouterParams:
         return condition(self, x_src, tgt, src)(x_t, t)
 
 
-@dataclass(frozen=True)
-class Conditioning:
-    """Layer 0's part that is constant over one binding, in the dtype of the
-    weights. `base` is the pre-activation of the x_src and embedding columns
-    plus the bias, (B, H), or (1, H) for one source vector; row t of
-    `time_rows`, (T + 1, H), is the pre-activation of the time columns."""
-
-    base: np.ndarray
-    time_rows: np.ndarray
-
-
 @dataclass
 class RouterGrads:
     """A gradient vector with a view of its embedding tail. Nothing in the
@@ -182,9 +171,9 @@ def condition(predictor, x_src, tgt, src):
     """Bind a predictor to the source sample and the (tgt, src) labels that a
     reverse chain or a refine loop keeps fixed; returns f(x_t, t) -> noise
     estimate. For RouterParams the labels and x_src's width are checked here,
-    once, and layer 0's constant part is computed once (`Conditioning`); each
-    call of f is one `predict_noise`. Any other predictor(x_t, t, x_src, tgt,
-    src), such as the oracle, is bound by closing over its arguments."""
+    once, and layer 0's constant part is computed once; each call of f is one
+    `predict_noise`. Any other predictor(x_t, t, x_src, tgt, src), such as the
+    oracle, is bound by closing over its arguments."""
     if not isinstance(predictor, RouterParams):
         return lambda x_t, t: predictor(x_t, t, x_src, tgt, src)
     params = predictor
@@ -198,21 +187,26 @@ def condition(predictor, x_src, tgt, src):
     base = (_kernels.affine(x_src, w0[:, d:2 * d], b0)
             + (emb @ w0[:, lo:lo + E].T)[tgt] + (emb @ w0[:, lo + E:].T)[src])
     table = time_table(params.n_timesteps, params.time_dim).astype(w0.dtype)
-    cond = Conditioning(base=base, time_rows=table @ w0[:, 2 * d:lo].T)
-    return lambda x_t, t: predict_noise(params, x_t, t, cond)
+    time_rows = table @ w0[:, 2 * d:lo].T
+    return lambda x_t, t: predict_noise(params, x_t, t, base, time_rows)
 
 
-def predict_noise(params: RouterParams, x_t, t, cond: Conditioning) -> np.ndarray:
-    """Noise estimate for x_t at step t under the binding `cond` (see
-    `condition`). Accepts a single vector or a (B, d) batch; t may be a
-    scalar or a per-row array. Returns float64."""
+def predict_noise(params: RouterParams, x_t, t, base: np.ndarray,
+                  time_rows: np.ndarray) -> np.ndarray:
+    """Noise estimate for x_t at step t under a binding made by `condition`,
+    whose constant part of layer 0 is given in the dtype of the weights:
+    `base` is the pre-activation of the x_src and embedding columns plus the
+    bias, (B, H), or (1, H) for one source vector; row t of `time_rows`,
+    (T + 1, H), is the pre-activation of the time columns. Accepts a single
+    vector or a (B, d) batch; t may be a scalar or a per-row array. Returns
+    float64."""
     squeeze = np.ndim(x_t) == 1
     w0 = params.backbone.weights[0]
     x_t = np.atleast_2d(np.asarray(x_t, dtype=w0.dtype))
     _check_width(params, x_t)
     _check_steps(params, t)
-    z = _kernels.affine(x_t, w0[:, :params.data_dim], cond.base)
-    z += cond.time_rows[t]
+    z = _kernels.affine(x_t, w0[:, :params.data_dim], base)
+    z += time_rows[t]
     out = netcore.forward_from_layer0(params.backbone, z, None).astype(np.float64, copy=False)
     return out[0] if squeeze else out
 

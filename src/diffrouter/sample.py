@@ -7,8 +7,8 @@ once per chain (`router.condition`), and each reverse step takes the bound
 f(x_t, t). For the router that binding computes layer 0's source, label and
 time blocks once per chain instead of once per step. Indirect translation
 chains one full reverse pass per tree hop, feeding each hop's output into the
-next hop's conditioning, and so binds once per hop. Direct translation runs a
-single reverse pass with the requested (src, tgt) labels.
+next hop's conditioning, and so binds once per hop. Direct translation is a
+one-hop route: a single reverse pass with the requested (src, tgt) labels.
 
 The schedule's type picks the sampler, and its eta the reverse-step noise: a
 `DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
@@ -158,11 +158,9 @@ def translate(predictor, req: TranslationRequest, topo: Topology,
                     "direct translation between non-adjacent domains requires a "
                     "checkpoint trained with the combined direct objective; this "
                     "one is paired-only")
-        x, n_steps = chain(predictor, req.x_src, req.tgt, req.src, sch, rng,
-                           steps=req.steps)
-        return TranslationResult(x_tgt=x, intermediates=[], total_steps=n_steps)
-
-    path = route_path(topo, req.src, req.tgt)
+        path = [req.src, req.tgt]  # one hop
+    else:
+        path = route_path(topo, req.src, req.tgt)
     x = np.asarray(req.x_src, dtype=np.float64)
     intermediates = []
     total = 0

@@ -30,7 +30,6 @@ bound predictor(x, t): the teacher's layer-0 source, label and time blocks
 are computed once per step, not once per query.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,11 +223,11 @@ def _dataset_for_edge(datasets: list[PairedDataset], a: int, b: int) -> PairedDa
 
 
 def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
-          sch, init_params: RouterParams | None = None,
-          log_path=None) -> TrainResult:
+          sch, init_params: RouterParams | None = None) -> TrainResult:
     """Run the configured regime; deterministic given cfg.seed. Trains, in
     place, a float32 copy of init_params (else of a fresh initialisation),
-    and returns it; init_params is left as it was."""
+    and returns it with the windowed loss rows (step, direction, loss, lr),
+    which the CLI writes as the loss log; init_params is left as it was."""
     for ds in datasets:
         if not topo.is_edge(*ds.edge):
             raise ValueError(f"dataset edge {ds.edge} is not in the topology")
@@ -254,13 +253,6 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
         _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
     if log.acc:  # the trailing partial window
         log.flush(cfg.steps, opt.effective_lr())
-
-    if log_path is not None:
-        with open(log_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "direction", "loss", "lr"])
-            for row in log.rows:
-                writer.writerow([row[0], row[1], f"{row[2]:.6g}", f"{row[3]:.6g}"])
     return TrainResult(params=params, log_rows=log.rows)
 
 
@@ -288,20 +280,16 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
                            _dataset_for_edge(datasets, j, path[-2])))
     if not directions:
         raise ValueError("topology has no non-edge pairs to finetune")
-    distances = sorted({route[2] for route in directions})
-    if not cfg.curriculum:
-        distances = [None]
+    # the curriculum trains one phase per hop count, nearest first; without
+    # it one phase holds every direction
+    phases = [directions]
+    if cfg.curriculum:
+        phases = [[route for route in directions if route[2] == hops]
+                  for hops in sorted({route[2] for route in directions})]
     ref = params if cfg.regime == "from-scratch" else freeze(params)
     step = 0
-    for phase, dist in enumerate(distances):
-        if dist is None:
-            phase_dirs = directions
-            phase_steps = cfg.steps
-        else:
-            phase_dirs = [route for route in directions if route[2] == dist]
-            phase_steps = cfg.steps // len(distances)
-            if phase == len(distances) - 1:
-                phase_steps = cfg.steps - step
+    for phase, phase_dirs in enumerate(phases):
+        phase_steps = cfg.steps // len(phases) if phase < len(phases) - 1 else cfg.steps - step
         if phase > 0 and cfg.regime == "finetune":
             ref = freeze(params)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):

@@ -1,7 +1,11 @@
 """The header-plus-blocks file format: its frame errors, atomic writes, and
-byte-for-byte stability of the checkpoint and dataset files it carries."""
+byte-for-byte stability of the checkpoint and dataset files it carries; and
+the one atomic writer that every file of a run goes through."""
 
+import ast
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,74 @@ def test_write_blocks_replaces_atomically(tmp_path):
         _blockfile.write_blocks(path, MAGIC, {}, [np.zeros(2), object()])
     assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
     assert _blockfile.read_blocks(path, MAGIC)[1][0].tolist() == [1.0, 1.0]
+
+
+def _first_then_fail(first):
+    yield first
+    raise RuntimeError("the writer died after its first part")
+
+
+@pytest.mark.parametrize("fail", ["parts", "replace"])
+def test_failed_write_keeps_the_old_bytes(tmp_path, monkeypatch, fail):
+    """A write whose parts raise after the first one, or whose os.replace
+    fails, leaves an existing manifest and block file as they were, and no
+    temp file behind."""
+    manifest, blocks = tmp_path / "manifest.json", tmp_path / "f.bin"
+    _blockfile.write_atomic(manifest, ['{"artifacts": {}}', "\n"])
+    _blockfile.write_blocks(blocks, MAGIC, {"k": 1}, [np.arange(3.0), np.ones(2)])
+    before = {path: path.read_bytes() for path in (manifest, blocks)}
+    assert before[manifest] == b'{"artifacts": {}}\n'
+    if fail == "parts":
+        with pytest.raises(RuntimeError, match="first part"):
+            _blockfile.write_atomic(manifest, _first_then_fail('{"artifacts": {"x"'))
+        with pytest.raises(RuntimeError, match="first part"):
+            _blockfile.write_blocks(blocks, MAGIC, {"k": 2}, _first_then_fail(np.zeros(5)))
+    else:
+        def refuse(src, dst):
+            raise OSError("os.replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            _blockfile.write_atomic(manifest, ['{"artifacts": {"x": "y"}}\n'])
+        with pytest.raises(OSError, match="refused"):
+            _blockfile.write_blocks(blocks, MAGIC, {"k": 2}, [np.zeros(5)])
+    assert {path: path.read_bytes() for path in (manifest, blocks)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "manifest.json"]
+
+
+def _file_writes(tree) -> list[int]:
+    """Lines of the calls in `tree` that write a file, outside the body of
+    `write_atomic`: write_text, write_bytes, and open (builtin, or a
+    path's .open) with a mode that is not a read-only constant."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "write_atomic"
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+            mode = ([kw.value for kw in node.keywords if kw.arg == "mode"]
+                    or node.args[at:at + 1] or [ast.Constant("r")])[0]
+            if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_write_atomic_writes_files():
+    """Every file the library writes goes through `_blockfile.write_atomic`."""
+    modules = sorted(Path(_blockfile.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    probe = ("open(p, 'wb'); p.open('a'); open(p, mode=m)\n"
+             "p.write_text(s); open(p); p.open(); open(p, 'rb')")
+    assert _file_writes(ast.parse(probe)) == [1, 1, 1, 2]  # the scan finds each kind
+    writes = [f"{path.name}:{line}" for path in modules
+              for line in _file_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not writes, writes
 
 
 @pytest.mark.parametrize("cut, expect", [

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -138,6 +139,30 @@ def test_validation_errors(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("overrides, expect", [
+    (["instance.edge_shift=nan"], "instance.edge_shift must be finite, got nan"),
+    (["instance.edge_shift=-inf"], "instance.edge_shift must be finite, got -inf"),
+    (["instance.edge_shift=0.5", "instance.topology=chain"],
+     "instance.edge_shift=0.5 applies only to a gaussian-affine star, not a "
+     "gaussian-affine chain"),
+    (["instance.edge_shift=0.5", "instance.family=moons-warp"],
+     "instance.edge_shift=0.5 applies only to a gaussian-affine star, not a moons-warp star"),
+    (["instance.edge_shift=-1", "instance.family=glyphs", "instance.d=64"],
+     "instance.edge_shift=-1.0 applies only to a gaussian-affine star, not a glyphs star"),
+], ids=["nan", "-inf", "chain", "moons-warp", "glyphs"])
+def test_unusable_edge_shift_is_refused_at_load(tmp_path, monkeypatch, capsys,
+                                                overrides, expect):
+    """An edge shift the instance would ignore, or one that makes every
+    dataset NaN, is refused as one line before any run directory is made."""
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    flags = [a for ov in overrides for a in ("--override", ov)]
+    for stage in ("gen-data", "train-paired"):
+        assert main([stage, *flags]) == 1
+        assert capsys.readouterr().err == f"error: CliError: {expect}\n"
+    assert not (tmp_path / "runs").exists()
+    assert load_config(None, ["instance.edge_shift=0.5"]).edge_shift == 0.5
+
+
 def test_both_loss_coefficients_zero_is_refused_at_load(tmp_path, monkeypatch, capsys):
     """lambda1 = lambda2 = 0 leaves finetuning no loss; the config is refused
     as one line naming both keys, before any stage makes a run directory."""
@@ -229,7 +254,8 @@ def test_pipeline_end_to_end(workspace, capsys):
 
     assert main(["train-paired", "--config", cfg_path]) == 0
     assert (run / "checkpoints/paired.ckpt").exists()
-    assert (run / "logs/paired-only.csv").exists()
+    log = (run / "logs/paired-only.csv").read_text().splitlines()
+    assert log[0] == "step,direction,loss,lr" and len(log) > 1
     svg = (run / "plots/paired-only-loss.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
@@ -256,9 +282,12 @@ def test_pipeline_end_to_end(workspace, capsys):
 
     assert main(["eval", "--config", cfg_path, "--directions", "edges"]) == 0
     report = run / "reports/eval-indirect-edges.csv"
-    lines = report.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "src"
-    assert len(lines) == 1 + 4  # four edge directions on the K=3 star
+    with open(report, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["src", "tgt", "mode", "sliced_w2", "mmd", "rmse", "steps",
+                       "n_samples", "seed", "config_hash"]
+    assert len(rows) == 1 + 4  # four edge directions on the K=3 star
+    assert all(row[-1] == config_hash(cfg) for row in rows[1:])
     first_report = report.read_bytes()
     assert main(["eval", "--config", cfg_path, "--directions", "edges"]) == 0
     assert report.read_bytes() == first_report
@@ -471,11 +500,11 @@ def test_eval_binds_once_per_hop_and_builds_no_full_input(trained_run, tmp_path,
     conds, calls, built = [], [], []
     predict, build = router.predict_noise, router.backbone_input
 
-    def spy_predict(params, x_t, t, cond):
-        if not any(c is cond for c in conds):
-            conds.append(cond)
+    def spy_predict(params, x_t, t, base, time_rows):
+        if not any(b is base for b in conds):
+            conds.append(base)
         calls.append(t)
-        return predict(params, x_t, t, cond)
+        return predict(params, x_t, t, base, time_rows)
 
     def spy_build(*args):
         built.append(args)
@@ -652,6 +681,35 @@ def test_instance_of_another_run_is_one_line_error(workspace, capsys, override, 
     assert main(["eval", "--config", cfg_path, "--override", override]) == 1
     assert capsys.readouterr().err == (f"error: CliError: {other}: instance {key}={have} "
                                        f"does not match this run's {want}\n")
+
+
+@pytest.mark.parametrize("override, rel, target, expect", [
+    # another run's files under this run's names
+    ("instance.d=3", "datasets/edge_1-0.bin", "datasets/edge_1-0.bin",
+     "dataset d=3 does not match this run's 2"),
+    (None, "datasets/edge_2-0.bin", "datasets/edge_1-0.bin",
+     "dataset edge=2-0 does not match this run's 1-0"),
+    ("instance.k=4", "datasets/eval.bin", "datasets/eval.bin",
+     "eval tuples K=4 does not match this run's 3"),
+    ("instance.d=3", "datasets/eval.bin", "datasets/eval.bin",
+     "eval tuples d=3 does not match this run's 2"),
+], ids=["edge-d", "edge-of-another-file", "eval-K", "eval-d"])
+def test_dataset_of_another_run_is_one_line_error(workspace, capsys, override, rel,
+                                                  target, expect):
+    """An edge file holding another edge or d, or an eval file of another K or
+    d, is refused as one line naming it, not trained on."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    run = _run(root, load_config(cfg_path))
+    source = run
+    if override is not None:
+        assert main(["gen-data", "--config", cfg_path, "--override", override]) == 0
+        source = _run(root, load_config(cfg_path, [override]))
+    capsys.readouterr()
+    (run / target).write_bytes((source / rel).read_bytes())
+    assert main(["train-paired", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: CliError: {run / target}: {expect}\n"
+    assert not (run / "checkpoints/paired.ckpt").exists()
 
 
 def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):

@@ -110,6 +110,8 @@ def test_moons_instance():
                                                       family="moons-warp", M=100)
     assert inst is None
     assert datasets[0].x_a.shape == (200, 2)
+    with pytest.raises(ValueError, match="edge_shift applies only to the gaussian-affine"):
+        make_star_instance(3, 2, 200, seed=6, family="moons-warp", M=100, edge_shift=0.5)
 
 
 def _hand_conditional_1d(g_s, s_s, g_t, s_t, x):

@@ -1,14 +1,11 @@
-import csv
-
 import numpy as np
 import pytest
 
 from diffrouter import datagen, metrics
 from diffrouter.datagen import GaussianInstance, OracleScorePredictor
-from diffrouter.metrics import (REPORT_COLUMNS, evaluate_checkpoint,
-                                kl_gaussians, mmd_rbf, nested_vs_direct_kl,
-                                oracle_self_distance, pathwise_kl_bound_trial,
-                                sliced_wasserstein, write_report_csv)
+from diffrouter.metrics import (evaluate_checkpoint, kl_gaussians, mmd_rbf,
+                                nested_vs_direct_kl, oracle_self_distance,
+                                pathwise_kl_bound_trial, sliced_wasserstein)
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +145,22 @@ def test_kl_validation():
 # ---------------------------------------------------------------------------
 # checkpoint evaluation
 
-def test_evaluate_oracle_near_noise_floor(small_star, sch100, tmp_path):
+def test_evaluate_oracle_near_noise_floor(small_star, sch100):
     """The exact-score predictor scores within 1.5x of the oracle
     self-distance; a zero predictor scores far worse."""
     topo, _, tuples, inst = small_star
     oracle = OracleScorePredictor(inst, sch100)
-    report = evaluate_checkpoint(oracle, tuples, topo, [(1, 2)], "indirect",
-                                 sch100, inst=inst, n_eval=500, seed=0,
-                                 config_hash="abc")
-    rec = report.records[0]
+    (rec,) = evaluate_checkpoint(oracle, tuples, topo, [(1, 2)], "indirect",
+                                 sch100, inst=inst, n_eval=500, seed=0)
     floor = oracle_self_distance(inst, 1, 2, tuples.domain(1)[:500],
                                  np.random.default_rng(5))
     assert rec.sliced_w2 < 1.5 * floor + 0.02
-    assert rec.steps == 2 * sch100.T and rec.mode == "indirect"
+    assert (rec.src, rec.tgt, rec.steps, rec.mode) == (1, 2, 2 * sch100.T, "indirect")
 
     zero = lambda x_t, t, x_src, tgt, src: np.zeros_like(np.atleast_2d(x_t))
     bad = evaluate_checkpoint(zero, tuples, topo, [(1, 2)], "indirect",
                               sch100, inst=inst, n_eval=200, seed=0)
-    assert bad.records[0].sliced_w2 > 10 * rec.sliced_w2
-
-    out = tmp_path / "r.csv"
-    write_report_csv(out, report)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == REPORT_COLUMNS
-    assert rows[1][0] == "1" and rows[1][1] == "2" and rows[1][-1] == "abc"
+    assert bad[0].sliced_w2 > 10 * rec.sliced_w2
 
 
 def test_evaluate_requires_data(small_star, sch100):

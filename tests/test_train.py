@@ -1,4 +1,3 @@
-import csv
 import importlib
 from dataclasses import replace
 
@@ -221,12 +220,12 @@ def test_unpaired_step_binds_the_teacher_once(setup, sch100, rng, monkeypatch):
     conds, rows, built = [], [], []
     predict, build = router.predict_noise, router.backbone_input
 
-    def spy_predict(p, x_t, t, cond):
+    def spy_predict(p, x_t, t, base, time_rows):
         assert p is ref
-        if not any(c is cond for c in conds):
-            conds.append(cond)
+        if not any(b is base for b in conds):
+            conds.append(base)
         rows.append(len(x_t))
-        return predict(p, x_t, t, cond)
+        return predict(p, x_t, t, base, time_rows)
 
     def spy_build(p, *args):
         built.append(p)
@@ -378,7 +377,7 @@ def test_train_divergence_aborts(setup, sch100):
         train(cfg, topo, datasets, sch100)
 
 
-def test_chain_curriculum_ordering(sch100, tmp_path):
+def test_chain_curriculum_ordering(sch100):
     """Distance-2 direct mappings are trained before distance-3 ones."""
     topo, datasets, tuples, inst = datagen.make_chain_instance(4, 2, 300,
                                                               seed=13, M=100)
@@ -387,9 +386,7 @@ def test_chain_curriculum_ordering(sch100, tmp_path):
     base = train(pre, topo, datasets, sch100)
     cfg = TrainConfig(regime="finetune", steps=120, batch_size=16,
                       hidden=(16,), seed=0, log_window=20, n_refine=1)
-    log_path = tmp_path / "log.csv"
-    result = train(cfg, topo, datasets, sch100, init_params=base.params,
-                   log_path=log_path)
+    result = train(cfg, topo, datasets, sch100, init_params=base.params)
     first_seen = {}
     for step, direction, *_ in result.log_rows:
         if direction.startswith("unpaired") and direction not in first_seen:
@@ -400,10 +397,19 @@ def test_chain_curriculum_ordering(sch100, tmp_path):
              "unpaired:3->0")]
     assert dist2 and dist3
     assert max(dist2) < min(dist3)
-    with open(log_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "direction", "loss", "lr"]
-    assert len(rows) > 1
+
+
+def test_chain_without_curriculum_trains_every_direction_at_once(sch100):
+    """With the curriculum off, one phase holds every non-edge direction, so
+    the first log window of a K=4 chain already shows all six."""
+    topo, datasets, *_ = datagen.make_chain_instance(4, 2, 300, seed=13, M=100)
+    pre = TrainConfig(regime="paired-only", steps=20, batch_size=16, hidden=(16,), seed=0)
+    base = train(pre, topo, datasets, sch100)
+    cfg = TrainConfig(regime="finetune", steps=24, batch_size=16, hidden=(16,), seed=0,
+                      log_window=6, n_refine=1, curriculum=False)
+    result = train(cfg, topo, datasets, sch100, init_params=base.params)
+    first = {d for step, d, *_ in result.log_rows if step == 6 and d.startswith("unpaired")}
+    assert first == {f"unpaired:{i}->{j}" for i, j in topo.directions("nonedges")}
 
 
 def test_train_rejects_foreign_dataset(setup, sch100):
