@@ -56,16 +56,7 @@ def read_blocks(path, magic: str) -> tuple[dict, list[np.ndarray]]:
     the file, or bytes too few for a block count trail the last block."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(magic.encode("utf-8") + b"\n"):
-        raise ValueError(f"{path} is not a {magic} file")
-    sep = blob.find(_SEP)
-    if sep < 0:
-        raise ValueError(f"{path}: no header separator; the file is cut short")
-    header = {}
-    for line in blob[:sep].decode("utf-8", errors="replace").split("\n")[1:]:
-        key, _, val = line.partition("=")
-        header[key] = val
-    offset = sep + len(_SEP)
+    header, offset = _parse_header(path, magic, blob)
     arrays = []
     while offset < len(blob):
         if len(blob) - offset < 4:
@@ -79,6 +70,26 @@ def read_blocks(path, magic: str) -> tuple[dict, list[np.ndarray]]:
         arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=offset))
         offset += 4 * count
     return header, arrays
+
+
+def read_header(path, magic: str) -> dict:
+    """The header of a block file, read without its blocks; raises like read_blocks."""
+    with open(path, "rb") as fh:
+        head = b""
+        while _SEP not in head and (chunk := fh.read(4096)):
+            head += chunk
+    return _parse_header(path, magic, head)[0]
+
+
+def _parse_header(path, magic: str, blob: bytes) -> tuple[dict, int]:
+    """(header, offset of the first block) of the bytes that open a block file."""
+    if not blob.startswith(magic.encode("utf-8") + b"\n"):
+        raise ValueError(f"{path} is not a {magic} file")
+    sep = blob.find(_SEP)
+    if sep < 0:
+        raise ValueError(f"{path}: no header separator; the file is cut short")
+    lines = blob[:sep].decode("utf-8", errors="replace").split("\n")[1:]
+    return dict(line.partition("=")[::2] for line in lines), sep + len(_SEP)
 
 
 def check_sizes(path, arrays, sizes) -> None:

@@ -49,15 +49,14 @@ def affine(h, w, b):
     return out
 
 
-def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, step):
-    """In-place AdamW step on p, m and v, in the dtype of p, with the bias
+def adamw_update(p, g, m, v, lr, b1, b2, eps, step):
+    """In-place Adam step on p, m and v, in the dtype of p, with the bias
     corrections folded into two scalars (Kingma & Ba, section 2):
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
         c2 = sqrt(1 - b2^step)
-        p *= 1 - lr wd                                    (only when wd != 0)
         p -= (lr c2 / (1 - b1^step)) (m / (sqrt(v) + eps c2))
     evaluated in that order through one work array. The result is the
-    textbook p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p) up to rounding."""
+    textbook p -= lr m_hat / (sqrt(v_hat) + eps) up to rounding."""
     c2 = (1.0 - b2**step) ** 0.5
     s = np.multiply(1.0 - b1, g, dtype=p.dtype)
     m *= b1
@@ -70,8 +69,6 @@ def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, step):
     s += eps * c2
     np.divide(m, s, out=s)
     s *= lr * c2 / (1.0 - b1**step)
-    if wd:
-        p *= 1.0 - lr * wd
     p -= s
 
 

@@ -325,8 +325,12 @@ def _check_match(path: Path, what: str, checks) -> None:
 
 def load_run_data(cfg: ExperimentConfig, run: Path):
     """Load datasets written by gen-data; raises if they are missing or were
-    made for another edge, K or d. The reading stages call this before they
-    write anything into `run`."""
+    made for another edge, K, d or run configuration. The reading stages call
+    this before they write anything into `run`."""
+    def check(path, what, checks):  # then the config hash gen-data wrote in the header
+        have = _blockfile.read_header(path, datagen.DATASET_MAGIC).get("config_hash")
+        _check_match(path, what, [*checks, ("config_hash", have, config_hash(cfg))])
+
     topo = build_instance_topology(cfg)
     datasets = []
     for a, b in topo.edges:
@@ -334,12 +338,12 @@ def load_run_data(cfg: ExperimentConfig, run: Path):
         if not path.exists():
             raise CliError(f"missing dataset {path}; run gen-data first")
         ds = datagen.load_paired_dataset(path)
-        _check_match(path, "dataset", (("edge", "{}-{}".format(*ds.edge), f"{a}-{b}"),
-                                       ("d", ds.x_a.shape[1], cfg.d)))
+        check(path, "dataset", (("edge", "{}-{}".format(*ds.edge), f"{a}-{b}"),
+                                ("d", ds.x_a.shape[1], cfg.d)))
         datasets.append(ds)
     path = run / "datasets/eval.bin"
     tuples = datagen.load_eval_tuples(path)
-    _check_match(path, "eval tuples", zip(("K", "d"), tuples.samples.shape[1:], (cfg.K, cfg.d)))
+    check(path, "eval tuples", zip(("K", "d"), tuples.samples.shape[1:], (cfg.K, cfg.d)))
     path = run / "datasets/instance.json"
     inst = None
     if path.exists():

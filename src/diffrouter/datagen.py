@@ -446,19 +446,6 @@ def make_chain_instance(K: int, d: int, N: int, seed: int, M: int = 5000,
     return _build_instance(Topology.chain(K), d, N, M, family, seed)
 
 
-def partial_correlation(xi: np.ndarray, xj: np.ndarray, xc: np.ndarray) -> float:
-    """Max absolute correlation between residuals of xi and xj after
-    regressing out xc (with intercept)."""
-    design = np.column_stack([np.ones(len(xc)), xc])
-    coef_i, *_ = np.linalg.lstsq(design, xi, rcond=None)
-    coef_j, *_ = np.linalg.lstsq(design, xj, rcond=None)
-    ri = xi - design @ coef_i
-    rj = xj - design @ coef_j
-    corr = np.corrcoef(np.column_stack([ri, rj]).T)
-    di = ri.shape[1]
-    return float(np.max(np.abs(corr[:di, di:])))
-
-
 def _check_latent_indices(path, indices: np.ndarray) -> None:
     """Blocks are float32, which holds every integer below 2**24 exactly."""
     if np.size(indices) and np.max(indices) >= 2**24:

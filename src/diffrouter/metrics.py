@@ -1,6 +1,5 @@
 """Sample-based evaluation: sliced Wasserstein, RBF-kernel MMD, pairwise RMSE,
-Gaussian KL utilities, and the executable decomposition / bound checks used by
-`verify-oracle`.
+and the executable decomposition / bound checks used by `verify-oracle`.
 
 Distributional acceptance thresholds are stated relative to the "oracle
 self-distance": the metric value between two independent ground-truth sample
@@ -66,26 +65,6 @@ def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
     n, m = len(A), len(B)
     est = s_aa / (n * (n - 1)) + s_bb / (m * (m - 1)) - 2.0 * s_ab / (n * m)
     return max(float(est), 0.0)
-
-
-def kl_gaussians(m1, C1, m2, C2) -> float:
-    """Closed-form KL(N(m1, C1) || N(m2, C2)); scalars accepted for 1-D."""
-    m1 = np.atleast_1d(np.asarray(m1, dtype=np.float64))
-    m2 = np.atleast_1d(np.asarray(m2, dtype=np.float64))
-    C1 = np.atleast_2d(np.asarray(C1, dtype=np.float64))
-    C2 = np.atleast_2d(np.asarray(C2, dtype=np.float64))
-    d = len(m1)
-    for C in (C1, C2):
-        if not np.allclose(C, C.T):
-            raise ValueError("covariance must be symmetric")
-        if np.any(np.linalg.eigvalsh(C) <= 0):
-            raise ValueError("covariance must be positive definite")
-    C2_inv = np.linalg.inv(C2)
-    diff = m2 - m1
-    _, logdet1 = np.linalg.slogdet(C1)
-    _, logdet2 = np.linalg.slogdet(C2)
-    return 0.5 * float(np.trace(C2_inv @ C1) + diff @ C2_inv @ diff - d
-                       + logdet2 - logdet1)
 
 
 def oracle_self_distance(inst: GaussianInstance, src: int, tgt: int, x_src: np.ndarray,

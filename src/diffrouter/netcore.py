@@ -140,13 +140,12 @@ def backward(net: DenseNet, cache, output_grad: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """AdamW with decoupled weight decay and linear learning-rate warm-up."""
+    """AdamW without weight decay (Adam), with linear learning-rate warm-up."""
 
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.9
     eps: float = 1e-8
-    weight_decay: float = 0.0
     warmup_steps: int = 0
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
@@ -172,8 +171,8 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
     lr = state.effective_lr()
     state.step += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        _kernels.adamw_update(p, g, m, v, lr, state.beta1, state.beta2,
-                              state.eps, state.weight_decay, state.step)
+        _kernels.adamw_update(p, g, m, v, lr, state.beta1, state.beta2, state.eps,
+                              state.step)
 
 
 def save_params(path, header: dict, arrays: list[np.ndarray]) -> None:

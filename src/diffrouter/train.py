@@ -16,8 +16,8 @@ a `BridgeSchedule` bridges the pair's two sides and supports paired training onl
 Training runs in float32 on one parameter vector: the trained
 `RouterParams.flat`, its gradient and the AdamW moments are all float32, and
 each step's AdamW update writes into `flat` in place. A gradient is a flat
-vector in the layout of `RouterParams.flat`. Labels are per row, so a paired
-step is one forward and one backward pass over both directions.
+vector in the layout of `RouterParams.flat`. Labels are per row, so a paired or
+combined step is one forward and one backward pass over its rows (`_regress`).
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -93,6 +93,15 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     `predict_fn` stands in for params and computes no gradient: the second
     value is then None.
     """
+    *inputs, eps = _paired_rows(ds, batch_idx, sch, rng, zeta, topo)
+    if predict_fn is not None:
+        resid = predict_fn(*inputs) - eps
+        return float(np.sum(resid * resid)) / len(eps), None
+    return _regress(params, [(*inputs, eps, 1.0)])
+
+
+def _paired_rows(ds: PairedDataset, batch_idx, sch, rng, zeta=None, topo=None) -> tuple:
+    """The rows (x_t, t, x_src, tgt, src, eps) of a paired batch, drawn in that order."""
     if topo is not None and not topo.is_edge(*ds.edge):
         raise ValueError(f"dataset edge {ds.edge} is not a topology edge; "
                          "paired training is restricted to tree edges")
@@ -108,14 +117,24 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     x_tgt = np.where(to_a[:, None], xa, xb)
     x_src = np.where(to_a[:, None], xb, xa)
     tgt, src = np.where(to_a, a, b), np.where(to_a, b, a)
-    x_t = _corrupt(x_tgt, x_src, t, eps, sch)
-    if predict_fn is None:
-        pred, cache = router_mod.forward_cached(params, x_t, t, x_src, tgt, src)
-    else:
-        pred = predict_fn(x_t, t, x_src, tgt, src)
-    resid = pred - eps
-    grads = router_mod.backward(params, cache, 2.0 * resid / B) if predict_fn is None else None
-    return float(np.sum(resid * resid)) / B, grads
+    return _corrupt(x_tgt, x_src, t, eps, sch), t, x_src, tgt, src, eps
+
+
+def _regress(params: RouterParams, blocks: list[tuple]) -> tuple:
+    """One pass of params over the row blocks (x_t, t, x_src, tgt, src, target,
+    weight), stacked: each block's mean squared residual L_k, then the gradient
+    of sum_k weight_k L_k, each row's output gradient weighted by its block's."""
+    cols = [col[0] if len(col) == 1 else np.concatenate(col) for col in list(zip(*blocks))[:6]]
+    pred, cache = router_mod.forward_cached(params, *cols[:5])
+    resid = pred - cols[5]
+    losses, lo = [], 0
+    for x_t, *_, weight in blocks:
+        r = resid[lo:lo + len(x_t)]
+        lo += len(r)
+        losses.append(float(np.sum(r * r)) / len(r))
+        r *= 2.0 * weight
+        r /= len(r)
+    return *losses, router_mod.backward(params, cache, resid)
 
 
 def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
@@ -127,8 +146,6 @@ def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
     if n < 0:
         raise ValueError("refinement step count must be >= 0")
     x = np.asarray(x_t_init, dtype=np.float64).copy()
-    if n == 0:
-        return x
     sigma = sch.sigma[t]
     if np.ndim(sigma) == 1:
         sigma = sigma[:, None]
@@ -141,13 +158,14 @@ def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
                        sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
-                       topo: Topology) -> tuple[float, np.ndarray]:
+                       topo: Topology, rehearsal: PairedDataset | None = None) -> tuple:
     """Distillation step for the direct mapping i -> j.
 
     batch_i / batch_c are aligned pair sides from the (i, c) dataset. The
     noisy target x_t^j starts from a forward-diffused draw out of x_j_pool and
     is Tweedie-refined against x_c before the frozen reference is queried.
-    The reference receives no gradient.
+    The reference receives no gradient. Returns (loss, grads) of this term, or
+    with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`.
     """
     if isinstance(sch, BridgeSchedule):
         raise ValueError(
@@ -160,16 +178,22 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     B = batch_i.shape[0]
     t = rng.integers(1, sch.T + 1, size=B)
     x_j0 = x_j_pool[rng.integers(0, len(x_j_pool), size=B)]
-    eps0 = rng.standard_normal(x_j0.shape)
-    x_t_j = sch.a[t][:, None] * x_j0 + sch.sigma[t][:, None] * eps0
+    x_t_j = _corrupt(x_j0, None, t, rng.standard_normal(x_j0.shape), sch)
     teacher = condition(ref, batch_c, j, c)
     x_t_j = tweedie_refine(teacher, x_t_j, t, sch, rng, n=cfg.n_refine)
+    block = (x_t_j, t, batch_i, np.full(B, j), np.full(B, i), teacher(x_t_j, t))
+    if rehearsal is None:
+        return _regress(params, [(*block, 1.0)])
+    if cfg.lambda2 == 0.0:
+        l_u, grads = _regress(params, [(*block, cfg.lambda1)])
+        return l_u, 0.0, grads
+    return _regress(params, [(*block, cfg.lambda1),
+                             _rehearsal_rows(rehearsal, cfg, sch, rng, topo)])
 
-    eps_ref = teacher(x_t_j, t)
-    pred, cache = router_mod.forward_cached(params, x_t_j, t, batch_i, j, i)
-    resid = pred - eps_ref
-    loss = float(np.sum(resid * resid)) / B
-    return loss, router_mod.backward(params, cache, 2.0 * resid / B)
+
+def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tuple:
+    idx = rng.integers(0, len(ds), size=cfg.batch_size)
+    return (*_paired_rows(ds, idx, sch, rng, topo=topo), cfg.lambda2)
 
 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
@@ -177,22 +201,20 @@ def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
                     rng: np.random.Generator, topo: Topology
                     ) -> tuple[float, float, float, np.ndarray]:
     """Combined objective lambda1 * L_unpaired + lambda2 * L_paired for one
-    step. `unpaired` is (batch_i, batch_c, i, c, j, x_j_pool). Returns
-    (total, unpaired_loss, paired_loss, grads); a term with a zero
-    coefficient is skipped."""
+    step. `unpaired` is (batch_i, batch_c, i, c, j, x_j_pool); its rows are
+    drawn first, then a rehearsal batch from paired_ds, and one forward and
+    one backward pass over both gives the gradient. Returns (total,
+    unpaired_loss, paired_loss, grads); a term with a zero coefficient is
+    skipped."""
     if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
         raise ValueError("at least one loss coefficient must be positive")
-    l_unpaired, g_u = 0.0, 0.0
-    l_paired, g_p = 0.0, 0.0
     if cfg.lambda1 > 0.0:
-        batch_i, batch_c, i, c, j, x_j_pool = unpaired
-        l_unpaired, g_u = unpaired_loss_step(params, ref, batch_i, batch_c, i, c, j,
-                                             x_j_pool, sch, cfg, rng, topo)
-    if cfg.lambda2 > 0.0:
-        idx = rng.integers(0, len(paired_ds), size=cfg.batch_size)
-        l_paired, g_p = paired_loss_step(params, paired_ds, idx, sch, rng, topo=topo)
-    total = cfg.lambda1 * l_unpaired + cfg.lambda2 * l_paired
-    return total, l_unpaired, l_paired, cfg.lambda1 * g_u + cfg.lambda2 * g_p
+        l_u, l_p, grads = unpaired_loss_step(params, ref, *unpaired, sch, cfg, rng, topo,
+                                             rehearsal=paired_ds)
+    else:
+        l_u = 0.0
+        l_p, grads = _regress(params, [_rehearsal_rows(paired_ds, cfg, sch, rng, topo)])
+    return cfg.lambda1 * l_u + cfg.lambda2 * l_p, l_u, l_p, grads
 
 
 @dataclass
@@ -303,7 +325,8 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
             optimizer_step(opt, [params.flat], [grads])
-            log.push(f"unpaired:{i}->{j}", l_u)
+            if cfg.lambda1 > 0.0:
+                log.push(f"unpaired:{i}->{j}", l_u)
             if cfg.lambda2 > 0.0:
                 log.push(f"paired:{paired_ds.edge[0]}-{paired_ds.edge[1]}", l_p)
             log.push("total", total)

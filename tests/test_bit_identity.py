@@ -8,8 +8,9 @@ float32 in place, the AdamW moments float32 too and the bias corrections
 folded into two scalars, with each paired step one pass over both directions.
 Each of these changed the trained weights on purpose, as did the tanh-form
 SiLU, the per-label embedding gradient sum, the finetune teacher's layer-0
-split and the backward pass that forms only layer 0's embedding-column input
-gradient, which round differently. Checkpoints also record the hash of the
+split, the backward pass that forms only layer 0's embedding-column input
+gradient and the combined step's one pass over its unpaired and rehearsal
+rows, which round differently. Checkpoints also record the hash of the
 domain tree's edges. The eval-report pins guard the forward-only path: the
 bound predictor of every reverse chain. Two fresh runs gave the same bytes
 before any pin was set. All were
@@ -50,11 +51,11 @@ RUNS = {
 PINS = {
     "gaussian-star": {
         "checkpoints/direct.ckpt":
-            "b39212f6f3fa2810ed34775b5fac9c00f65e5be1386301a0ff6f6f14ee3a1584",
+            "d782a47605fc69285284c59b5d0d8253e191dc6ab2aa9ab44112471451f46fd0",
         "checkpoints/paired.ckpt":
             "eeaab37a6688020e9c110fbb6901c060843a26c75150a610f6a8cca39ecd56bf",
         "checkpoints/scratch.ckpt":
-            "d8a887953b478f4ee26a86e7a4bcab9f68e06ea9bf124cd2344094fe90059311",
+            "ce6030983d473fb0b6dcf849234e9e628844bc5190326e83d23c1864a284e574",
         "datasets/edge_1-0.bin":
             "9909778e0630eb33a429dc6a2ab72904f77d37d581db2d6bd81c57cb7ed443d7",
         "datasets/edge_2-0.bin":
@@ -62,7 +63,7 @@ PINS = {
         "datasets/eval.bin":
             "f8a957d3c1b7a1c77ce16a7525474393fa62595d8a5185681c121465753573db",
         "logs/finetune.csv":
-            "a997ffebeb0bcf440b02bb3f45c1c9c1e5554d50dca42f8acbd6e50f491ecfc1",
+            "1bc964c4043454033a8bc0f26bf8d4dfe38ceb676ee1b268867bd0a060bbe85b",
         "logs/from-scratch.csv":
             "60497ca959b6235be6cc07566a6bee88c30f4c49b05d804e7643c9e51a70ced0",
         "logs/paired-only.csv":
@@ -74,11 +75,11 @@ PINS = {
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
-            "74973898eaed4b1497c8c3dab165bd8bc4630e5f42817957b4d8330b549f1797",
+            "a05d9711f5eac27ee87bd7cde90cfabdfb27a3e5d608b4b672d64e85cc041d43",
         "checkpoints/paired.ckpt":
             "5870b65f6ab625cd4e53703afa86a7cd8136111a3e356831cce7a73b4e103d63",
         "checkpoints/scratch.ckpt":
-            "513a23fe42dd8e2a73adbb7ccc1f5a7cc6f2f00d83f4944b9e5a2f6f0994a940",
+            "61b946f78ac241c62df29d74b4c1e2295edbfb0383f4f11c3f6baa47fa421d03",
         "datasets/edge_1-0.bin":
             "4922318caaf612e283163772907bbbc2b24a398a7ffbf08788d468d589fbceab",
         "datasets/edge_2-0.bin":

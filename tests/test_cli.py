@@ -712,6 +712,58 @@ def test_dataset_of_another_run_is_one_line_error(workspace, capsys, override, r
     assert not (run / "checkpoints/paired.ckpt").exists()
 
 
+@pytest.mark.parametrize("files", [
+    ("datasets/edge_1-0.bin", "datasets/edge_2-0.bin", "datasets/eval.bin"),
+    ("datasets/eval.bin",),
+], ids=["edges-and-eval", "eval-only"])
+def test_datasets_of_a_run_with_another_config_are_refused(workspace, capsys, files):
+    """Files of the same K, d and edges written by a run of another seed and
+    size are refused by their header's config hash, as one line naming the
+    first such file, before anything is trained or scored on them."""
+    root, cfg_path = workspace
+    overrides = (["instance.n_train=300"], ["run.seed=5", "instance.n_train=500"])
+    cfgs = [load_config(cfg_path, ov) for ov in overrides]
+    flags = [["--config", cfg_path, *(a for o in ov for a in ("--override", o))]
+             for ov in overrides]
+    for argv in flags:
+        assert main(["gen-data", *argv]) == 0
+    run, source = (_run(root, cfg) for cfg in cfgs)
+    for rel in files:
+        (run / rel).write_bytes((source / rel).read_bytes())
+    capsys.readouterr()
+    what = "eval tuples" if files[0].endswith("eval.bin") else "dataset"
+    for stage in ("train-paired", "eval"):
+        assert main([stage, *flags[0]]) == 1, stage
+        assert capsys.readouterr().err == (
+            f"error: CliError: {run / files[0]}: {what} config_hash={config_hash(cfgs[1])} "
+            f"does not match this run's {config_hash(cfgs[0])}\n")
+    assert not (run / "checkpoints/paired.ckpt").exists()
+    assert not any((run / "reports").glob("*"))
+
+
+def test_finetune_without_the_unpaired_term_never_calls_the_teacher(workspace, monkeypatch):
+    """With train.lambda1=0 the finetune stage makes no teacher query and its
+    log holds no unpaired rows, only the terms it computed."""
+    root, cfg_path = workspace
+    flags = ["--config", cfg_path, "--override", "train.lambda1=0"]
+    for stage in ("gen-data", "train-paired"):
+        assert main([stage, *flags]) == 0, stage
+    teacher_calls, predict = [], router.predict_noise
+
+    def spy(*args):
+        teacher_calls.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(router, "predict_noise", spy)
+    assert main(["finetune-direct", *flags]) == 0
+    assert teacher_calls == []
+    run = _run(root, load_config(cfg_path, ["train.lambda1=0"]))
+    with open(run / "logs/finetune.csv", newline="") as fh:
+        directions = {row["direction"] for row in csv.DictReader(fh)}
+    assert directions and not any(d.startswith("unpaired:") for d in directions)
+    assert "total" in directions and any(d.startswith("paired:") for d in directions)
+
+
 def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):
     root, cfg_path = workspace
     run = _run(root, load_config(cfg_path))

@@ -7,8 +7,7 @@ from diffrouter import datagen
 from diffrouter.datagen import (GaussianInstance, Topology, analytic_conditional,
                                 load_eval_tuples, load_paired_dataset,
                                 make_chain_instance, make_star_instance,
-                                noisy_conditional, partial_correlation,
-                                sample_conditional, save_eval_tuples,
+                                noisy_conditional, sample_conditional, save_eval_tuples,
                                 save_paired_dataset)
 
 
@@ -77,6 +76,19 @@ def test_latent_disjointness(small_star):
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             assert not sets[i] & sets[j]
+
+
+def partial_correlation(xi: np.ndarray, xj: np.ndarray, xc: np.ndarray) -> float:
+    """Max absolute correlation between residuals of xi and xj after
+    regressing out xc (with intercept)."""
+    design = np.column_stack([np.ones(len(xc)), xc])
+    coef_i, *_ = np.linalg.lstsq(design, xi, rcond=None)
+    coef_j, *_ = np.linalg.lstsq(design, xj, rcond=None)
+    ri = xi - design @ coef_i
+    rj = xj - design @ coef_j
+    corr = np.corrcoef(np.column_stack([ri, rj]).T)
+    di = ri.shape[1]
+    return float(np.max(np.abs(corr[:di, di:])))
 
 
 def test_partial_correlation_given_central():

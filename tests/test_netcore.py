@@ -105,7 +105,7 @@ def test_gradients_match_finite_differences():
 def test_optimizer_noop_on_zero_grads(rng):
     net = init_dense([3, 3], rng)
     before = [p.copy() for p in net.param_list()]
-    state = OptimizerState(lr=1e-2, weight_decay=0.0)
+    state = OptimizerState(lr=1e-2)
     optimizer_step(state, net.param_list(), [np.zeros_like(p) for p in net.param_list()])
     for p, q in zip(net.param_list(), before):
         assert np.array_equal(p, q)
@@ -124,14 +124,14 @@ def test_adamw_single_step_hand_computed():
     """One update on a scalar parameter, bias correction included."""
     p = np.array([2.0])
     g = np.array([0.5])
-    lr, b1, b2, eps, wd = 1e-2, 0.9, 0.9, 1e-8, 0.1
-    state = OptimizerState(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.9, 1e-8
+    state = OptimizerState(lr=lr, beta1=b1, beta2=b2, eps=eps)
     optimizer_step(state, [p], [g])
     m = (1 - b1) * 0.5
     v = (1 - b2) * 0.25
     m_hat = m / (1 - b1)
     v_hat = v / (1 - b2)
-    expect = 2.0 - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * 2.0)
+    expect = 2.0 - lr * m_hat / (np.sqrt(v_hat) + eps)
     assert abs(p[0] - expect) < 1e-14
 
 

@@ -118,3 +118,22 @@ def test_library_does_not_use_names_kept_for_the_benchmark():
             for line, name in _uses_outside_definitions(
                 ast.parse(path.read_text(encoding="utf-8")), BENCHMARK_ONLY)]
     assert not uses, uses
+
+
+def test_each_training_step_is_one_backward_pass(tmp_path, monkeypatch):
+    """A paired and a combined step each run one backward pass, so a second
+    pass per combined step cannot creep back in unnoticed."""
+    tracer_mod, mods = _load_tracer()
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    flags = [a for ov in TINY_RUN for a in ("--override", ov)]
+    tracer = tracer_mod.Tracer()
+    tracer.install(mods)
+    try:
+        for argv in PIPELINE[:4]:  # gen-data and the three trainings
+            assert mods["cli"].main([*argv, *flags]) == 0, argv
+    finally:
+        tracer.uninstall()
+    settings = dict(ov.split("=") for ov in TINY_RUN)
+    steps = sum(int(settings[f"train.{key}"])
+                for key in ("steps", "finetune_steps", "scratch_steps"))
+    assert tracer.counters["netcore.backward.calls"] == steps

@@ -280,6 +280,64 @@ def test_final_loss_lambda1_zero_is_pure_paired(setup, sch100, rng):
     assert l_u == 0.0 and total == l_p
 
 
+@pytest.mark.parametrize("lambda1, lambda2", [(1.0, 0.5), (0.0, 1.0), (1.0, 0.0)])
+def test_combined_step_is_one_forward_and_one_backward(setup, sch100, monkeypatch,
+                                                      lambda1, lambda2):
+    """Each combined step is one student pass over the rows of its positive
+    terms: no teacher call when lambda1 = 0, no rehearsal rows when
+    lambda2 = 0, and the log holds only the terms computed."""
+    topo, datasets, *_, params = setup
+    calls, teacher_rows = [], []
+    forward, backward, predict = router.forward_cached, router.backward, router.predict_noise
+
+    def spy_forward(p, x_t, *args):
+        calls.append(("forward_cached", len(x_t)))
+        return forward(p, x_t, *args)
+
+    def spy_backward(*args):
+        calls.append(("backward", len(args[2])))
+        return backward(*args)
+
+    def spy_predict(p, x_t, *args):
+        teacher_rows.append(len(x_t))
+        return predict(p, x_t, *args)
+
+    monkeypatch.setattr(router, "forward_cached", spy_forward)
+    monkeypatch.setattr(router, "backward", spy_backward)
+    monkeypatch.setattr(router, "predict_noise", spy_predict)
+    cfg = TrainConfig(regime="finetune", steps=4, batch_size=16, seed=2, n_refine=2,
+                      lambda1=lambda1, lambda2=lambda2)
+    log_rows = train(cfg, topo, datasets, sch100, init_params=params).log_rows
+    rows = 16 * ((lambda1 > 0) + (lambda2 > 0))
+    assert calls == [("forward_cached", rows), ("backward", rows)] * 4
+    assert teacher_rows == ([16] * 3 * 4 if lambda1 > 0 else [])
+    terms = {direction.split(":")[0] for _, direction, *_ in log_rows}
+    computed = {term for term, lam in (("unpaired", lambda1), ("paired", lambda2)) if lam > 0}
+    assert terms == computed | {"total"}
+
+
+def test_combined_gradient_is_the_weighted_sum_of_the_terms(setup, sch100):
+    """In float64, with the draws replayed, the one-pass combined step gives
+    lambda1 g_u + lambda2 g_p of the two terms' own steps, and their losses."""
+    topo, datasets, *_, params = setup
+    ref = freeze(params)
+    ref.flat += 0.05 * np.random.default_rng(4).standard_normal(ref.flat.shape)
+    cfg = TrainConfig(regime="finetune", lambda1=0.7, lambda2=1.3, batch_size=24, n_refine=2)
+    ds = datasets[0]
+    unpaired = (ds.x_a[:16], ds.x_b[:16], 1, 0, 2, datasets[1].side(2))
+    total, l_u, l_p, grads = final_loss_step(params, ref, datasets[1], unpaired, cfg,
+                                             sch100, np.random.default_rng(8), topo)
+    replay = np.random.default_rng(8)
+    want_u, g_u = unpaired_loss_step(params, ref, *unpaired, sch100, cfg, replay, topo)
+    idx = replay.integers(0, len(datasets[1]), size=cfg.batch_size)
+    want_p, g_p = paired_loss_step(params, datasets[1], idx, sch100, replay, topo=topo)
+    want = 0.7 * g_u + 1.3 * g_p
+    assert grads.dtype == np.float64
+    assert np.linalg.norm(grads - want) <= 1e-12 * np.linalg.norm(want)
+    assert l_u == pytest.approx(want_u, rel=1e-12) and l_p == pytest.approx(want_p, rel=1e-12)
+    assert total == pytest.approx(0.7 * want_u + 1.3 * want_p, rel=1e-12)
+
+
 def test_train_determinism(setup, sch100):
     topo, datasets, *_ = setup
     cfg = TrainConfig(regime="paired-only", steps=60, batch_size=16,
