@@ -99,16 +99,22 @@ def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: s
     against aligned targets (RMSE) and against the target conditional
     population (sliced W2 and MMD; analytic samples when the instance is
     gaussian-affine, held-out real targets otherwise). One record per
-    direction, in order."""
+    direction, in order.
+
+    Every target of a source translates the same x_src, so the directions
+    share one `translate` hop cache: each (src, hop) pair runs one reverse
+    chain, K(K-1) chains for all directions of a tree, and each record is
+    the one a lone `translate` of its direction gives."""
     records = []
     rng = np.random.default_rng(seed)
+    hops = {}
     for src, tgt in directions:
         x_src = tuples.domain(src)[:n_eval]
         if len(x_src) < 2:
             raise ValueError(f"no evaluation data for direction {src}->{tgt}")
         req = TranslationRequest(x_src=x_src, src=src, tgt=tgt, mode=mode,
                                  steps=steps, seed=seed)
-        result = translate(predictor, req, topo, sch)
+        result = translate(predictor, req, topo, sch, hops)
         target_aligned = tuples.domain(tgt)[:n_eval]
         if inst is not None:
             reference = datagen.sample_conditional(inst, src, tgt, x_src, rng)

@@ -9,15 +9,15 @@ between layers (none after the last). One loop, `forward_from_layer0`, runs
 the layers after the first from layer 0's pre-activation; `forward_cached`
 computes that pre-activation from the full input, and the router's
 forward-only calls assemble it from a block precomputed once per chain. A
-network's parameters, its gradients and the optimizer's inputs all share one
-layout: a list of arrays in `param_list()` order, layer by layer the weight
-then the bias. `backward` can write its gradients into caller-owned arrays;
-the router passes views into one flat vector, so its optimizer step is one
-AdamW update of one array. `backward` stops at layer 0's pre-activation: the
-router needs the input gradient of only its embedding columns.
+network's parameters and its gradients share one layout: a list of arrays in
+`param_list()` order, layer by layer the weight then the bias. `backward` can
+write its gradients into caller-owned arrays; the router passes views into
+one flat vector, so its optimizer step is one AdamW update of that one
+array. `backward` stops at layer 0's pre-activation: the router needs the
+input gradient of only its embedding columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,9 @@ def backward(net: DenseNet, cache, output_grad: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """AdamW without weight decay (Adam), with linear learning-rate warm-up."""
+    """AdamW without weight decay (Adam), with linear learning-rate warm-up.
+    `m` and `v` are the moments of the one parameter array, made at the
+    first step."""
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -148,8 +150,8 @@ class OptimizerState:
     eps: float = 1e-8
     warmup_steps: int = 0
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def effective_lr(self) -> float:
         if self.warmup_steps > 0 and self.step < self.warmup_steps:
@@ -157,22 +159,19 @@ class OptimizerState:
         return self.lr
 
 
-def optimizer_step(state: OptimizerState, params: list[np.ndarray],
-                   grads: list[np.ndarray]) -> None:
-    """One in-place AdamW update of each array in `params` by the gradient at
-    the same index, in the dtype of the parameters. Raises DivergenceError on
-    non-finite grads, before anything is changed."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient encountered; run aborted")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+def optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -> None:
+    """One in-place AdamW update of `param` by `grad`, in the dtype of the
+    parameter. Raises DivergenceError on a non-finite grad, before anything
+    is changed."""
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError("non-finite gradient encountered; run aborted")
+    if state.m is None:
+        state.m = np.zeros_like(param)
+        state.v = np.zeros_like(param)
     lr = state.effective_lr()
     state.step += 1
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        _kernels.adamw_update(p, g, m, v, lr, state.beta1, state.beta2, state.eps,
-                              state.step)
+    _kernels.adamw_update(param, grad, state.m, state.v, lr, state.beta1, state.beta2,
+                          state.eps, state.step)
 
 
 def save_params(path, header: dict, arrays: list[np.ndarray]) -> None:

@@ -10,6 +10,14 @@ chains one full reverse pass per tree hop, feeding each hop's output into the
 next hop's conditioning, and so binds once per hop. Direct translation is a
 one-hop route: a single reverse pass with the requested (src, tgt) labels.
 
+Each hop draws its noise from its own stream, seeded by
+(seed, src, hop target). In a tree the path from src to a hop's target is
+unique, so that key names the hop's input, and a hop's output does not depend
+on the final target: the first hop i->c of i->j is the translation i->c. A
+one-hop route's stream is (seed, src, tgt). Requests that share x_src, seed
+and steps can share a `hops` cache, so each hop runs once; the result is the
+same with or without it.
+
 The schedule's type picks the sampler, and its eta the reverse-step noise: a
 `DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
 """
@@ -145,9 +153,12 @@ def sample_chain_bridge(predictor, y, tgt: int, src: int, sch: BridgeSchedule,
 
 
 def translate(predictor, req: TranslationRequest, topo: Topology,
-              sch: DiffusionSchedule | BridgeSchedule) -> TranslationResult:
-    """Run the requested translation by the sampler of `sch`; see module docstring."""
-    rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, req.tgt]))
+              sch: DiffusionSchedule | BridgeSchedule,
+              hops: dict | None = None) -> TranslationResult:
+    """Run the requested translation by the sampler of `sch`; see module
+    docstring. `hops` maps (src, hop_src, hop_tgt) to the hop's chain output;
+    it is read and filled here, and is only shared between requests with the
+    same x_src, seed and steps and the same predictor and schedule."""
     chain = sample_chain_bridge if isinstance(sch, BridgeSchedule) else sample_chain_diffusion
     check_labels(topo.K, req.src, req.tgt)
     if req.mode == "direct":
@@ -161,11 +172,16 @@ def translate(predictor, req: TranslationRequest, topo: Topology,
         path = [req.src, req.tgt]  # one hop
     else:
         path = route_path(topo, req.src, req.tgt)
+    hops = {} if hops is None else hops
     x = np.asarray(req.x_src, dtype=np.float64)
     intermediates = []
     total = 0
     for hop_src, hop_tgt in zip(path[:-1], path[1:]):
-        x, n_steps = chain(predictor, x, hop_tgt, hop_src, sch, rng, steps=req.steps)
+        key = (req.src, hop_src, hop_tgt)
+        if key not in hops:
+            rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, hop_tgt]))
+            hops[key] = chain(predictor, x, hop_tgt, hop_src, sch, rng, steps=req.steps)
+        x, n_steps = hops[key]
         total += n_steps
         if hop_tgt != req.tgt:
             intermediates.append(x)

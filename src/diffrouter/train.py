@@ -285,7 +285,7 @@ def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
         loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
-        optimizer_step(opt, [params.flat], [grads])
+        optimizer_step(opt, params.flat, grads)
         log.push(f"paired:{ds.edge[0]}-{ds.edge[1]}", loss)
         if step % cfg.log_window == 0:
             log.flush(step, opt.effective_lr())
@@ -324,7 +324,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
                                                      unpaired, cfg, sch, rng, topo)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
-            optimizer_step(opt, [params.flat], [grads])
+            optimizer_step(opt, params.flat, grads)
             if cfg.lambda1 > 0.0:
                 log.push(f"unpaired:{i}->{j}", l_u)
             if cfg.lambda2 > 0.0:

@@ -12,7 +12,10 @@ split, the backward pass that forms only layer 0's embedding-column input
 gradient and the combined step's one pass over its unpaired and rehearsal
 rows, which round differently. Checkpoints also record the hash of the
 domain tree's edges. The eval-report pins guard the forward-only path: the
-bound predictor of every reverse chain. Two fresh runs gave the same bytes
+bound predictor of every reverse chain. The indirect report's two-hop rows
+(1->2 and 2->1) changed when each route hop got its own noise stream, seeded
+by (seed, src, hop target) instead of (seed, src, tgt); its one-hop rows and
+the direct report kept their bytes. Two fresh runs gave the same bytes
 before any pin was set. All were
 made on x86-64 with numpy 2.4 and its bundled OpenBLAS. Another BLAS build may
 round the dense layers differently; there, regenerate the pins from a checkout
@@ -71,7 +74,7 @@ PINS = {
         "reports/eval-direct-nonedges.csv":
             "d5dd7ab354be27a8bd853c33d90a3de9aec541f5b01ab526debb51850d88a23c",
         "reports/eval-indirect-all.csv":
-            "90055fdd2ef990b03a32f249fe0701cd5fe72a1ce78c65b49e16fa2f425818bc",
+            "8783ed1429010d6faabac49313208215c5dbf04cc840c4f9122a933d5bb77ea7",
     },
     "glyph-star": {
         "checkpoints/direct.ckpt":
@@ -95,7 +98,7 @@ PINS = {
         "reports/eval-direct-nonedges.csv":
             "f60a8ff4110f1411e220848f49209ea90add1bb0f32e22c8898eaae041e0959c",
         "reports/eval-indirect-all.csv":
-            "a393a524301761dc5324a79eb191c7cf2cf3fe7afc6fb930e4c0c2aa537d9e02",
+            "b55fd707f5bb8f2ae2b22a57c1966a70f2ebeb10423e61cb69c951dd7bf9a934",
     },
 }
 

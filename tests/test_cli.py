@@ -492,9 +492,10 @@ def test_translate_direct_loads_the_direct_checkpoint(workspace, capsys):
 
 def test_eval_binds_once_per_hop_and_builds_no_full_input(trained_run, tmp_path,
                                                          monkeypatch):
-    """An indirect eval over all six directions of the K=3 star runs eight
-    hops; each hop conditions the router once and then makes T calls, and no
-    call assembles the full backbone input, which only training needs."""
+    """An indirect eval over all six directions of the K=3 star routes over
+    eight hops, of which six are distinct (src, hop target) pairs; each runs
+    once, conditioning the router once and then making T calls, and no call
+    assembles the full backbone input, which only training needs."""
     root, cfg_path = trained_run
     monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
     conds, calls, built = [], [], []
@@ -514,7 +515,7 @@ def test_eval_binds_once_per_hop_and_builds_no_full_input(trained_run, tmp_path,
     monkeypatch.setattr(router, "backbone_input", spy_build)
     assert main(["eval", "--config", cfg_path, "--directions", "all"]) == 0
     T = load_config(cfg_path).T
-    assert len(conds) == 8 and len(calls) == 8 * T and not built
+    assert len(conds) == 6 and len(calls) == 6 * T and not built
 
 
 def test_translate_defaults_to_the_schedule_eta(trained_run, tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from diffrouter import datagen, metrics
+from diffrouter import datagen, metrics, sample
 from diffrouter.datagen import GaussianInstance, OracleScorePredictor
 from diffrouter.metrics import (evaluate_checkpoint, mmd_rbf,
                                 nested_vs_direct_kl, oracle_self_distance,
                                 pathwise_kl_bound_trial, sliced_wasserstein)
+from diffrouter.schedules import (BridgeSchedule, build_bridge_schedule,
+                                  build_diffusion_schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,44 @@ def test_evaluate_oracle_near_noise_floor(small_star, sch100):
     bad = evaluate_checkpoint(zero, tuples, topo, [(1, 2)], "indirect",
                               sch100, inst=inst, n_eval=200, seed=0)
     assert bad[0].sliced_w2 > 10 * rec.sliced_w2
+
+
+@pytest.mark.parametrize("sch", [build_diffusion_schedule(8, eta=0.5),
+                                 build_bridge_schedule(8, eta=0.5)],
+                         ids=["diffusion", "bridge"])
+def test_evaluate_runs_each_hop_once(sch, monkeypatch):
+    """All 12 directions of a K=4 chain route over 20 hops but only 12
+    distinct (src, hop target) pairs: the eval runs one chain per pair, and
+    each record's translation is byte-equal to a lone `translate` of its
+    direction. At eta 0.5 every hop draws noise, so a hop seeded by its final
+    target would differ."""
+    topo, _, tuples, inst = datagen.make_chain_instance(4, 2, 50, seed=3, M=200)
+    predictor = lambda x_t, t, x_src, tgt, src: 0.3 * x_t - 0.2 * x_src + 0.1 * (tgt - src)
+    name = "sample_chain_bridge" if isinstance(sch, BridgeSchedule) else "sample_chain_diffusion"
+    chains, done = [], []
+    chain, translate = getattr(sample, name), metrics.translate
+
+    def spy_chain(*args, **kwargs):
+        chains.append((args[1].tobytes(), *args[2:4]))  # input, tgt, src
+        return chain(*args, **kwargs)
+
+    def spy_translate(*args):
+        done.append((args[1], translate(*args)))
+        return done[-1][1]
+
+    monkeypatch.setattr(sample, name, spy_chain)
+    monkeypatch.setattr(metrics, "translate", spy_translate)
+    directions = topo.directions("all")
+    records = evaluate_checkpoint(predictor, tuples, topo, directions, "indirect", sch,
+                                  inst=inst, n_eval=40, seed=11)
+    assert len(chains) == len(set(chains)) == 12, len(chains)  # not one per route hop: 20
+    assert [(r.src, r.tgt) for r in records] == [(q.src, q.tgt) for q, _ in done] == directions
+    for req, got in done:
+        fresh = sample.translate(predictor, req, topo, sch)
+        assert got.x_tgt.tobytes() == fresh.x_tgt.tobytes()
+        assert [a.tobytes() for a in got.intermediates] == \
+            [a.tobytes() for a in fresh.intermediates]
+        assert got.total_steps == fresh.total_steps == 8 * abs(req.tgt - req.src)
 
 
 def test_evaluate_requires_data(small_star, sch100):

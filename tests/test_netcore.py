@@ -102,13 +102,26 @@ def test_gradients_match_finite_differences():
                     f"trial {trial}: fd={fd} analytic={flat_g[i]}"
 
 
+def _flat_net(net: DenseNet) -> tuple[DenseNet, np.ndarray]:
+    """A copy of `net` whose arrays are views of one flat vector, returned
+    with it: the layout in which the router trains its backbone."""
+    flat = np.concatenate([a.ravel() for a in net.param_list()])
+    views = _views(flat, net.param_list())
+    return DenseNet(views[0::2], views[1::2], net.activation), flat
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views into `flat`, shaped like the arrays of `like`."""
+    bounds = np.cumsum([0] + [a.size for a in like])
+    return [flat[lo:hi].reshape(a.shape) for lo, hi, a in zip(bounds, bounds[1:], like)]
+
+
 def test_optimizer_noop_on_zero_grads(rng):
-    net = init_dense([3, 3], rng)
-    before = [p.copy() for p in net.param_list()]
+    _, flat = _flat_net(init_dense([3, 3], rng))
+    before = flat.copy()
     state = OptimizerState(lr=1e-2)
-    optimizer_step(state, net.param_list(), [np.zeros_like(p) for p in net.param_list()])
-    for p, q in zip(net.param_list(), before):
-        assert np.array_equal(p, q)
+    optimizer_step(state, flat, np.zeros_like(flat))
+    assert np.array_equal(flat, before)
 
 
 def test_warmup_learning_rate():
@@ -126,7 +139,7 @@ def test_adamw_single_step_hand_computed():
     g = np.array([0.5])
     lr, b1, b2, eps = 1e-2, 0.9, 0.9, 1e-8
     state = OptimizerState(lr=lr, beta1=b1, beta2=b2, eps=eps)
-    optimizer_step(state, [p], [g])
+    optimizer_step(state, p, g)
     m = (1 - b1) * 0.5
     v = (1 - b2) * 0.25
     m_hat = m / (1 - b1)
@@ -136,10 +149,9 @@ def test_adamw_single_step_hand_computed():
 
 
 def test_divergence_error_on_nonfinite_grads(rng):
-    net = init_dense([3, 3], rng)
-    bad = [np.full_like(p, np.nan) for p in net.param_list()]
+    _, flat = _flat_net(init_dense([3, 3], rng))
     with pytest.raises(DivergenceError):
-        optimizer_step(OptimizerState(lr=1e-3), net.param_list(), bad)
+        optimizer_step(OptimizerState(lr=1e-3), flat, np.full_like(flat, np.nan))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -148,38 +160,39 @@ def test_nonfinite_float32_grad_changes_nothing(rng, bad):
     step count move."""
     p = rng.standard_normal(64).astype(np.float32)
     state = OptimizerState(lr=1e-3)
-    optimizer_step(state, [p], [rng.standard_normal(64).astype(np.float32)])
-    before = [p.copy(), state.m[0].copy(), state.v[0].copy()]
+    optimizer_step(state, p, rng.standard_normal(64).astype(np.float32))
+    before = [p.copy(), state.m.copy(), state.v.copy()]
     g = rng.standard_normal(64).astype(np.float32)
     g[17] = bad
     with pytest.raises(DivergenceError):
-        optimizer_step(state, [p], [g])
+        optimizer_step(state, p, g)
     assert state.step == 1
-    for a, b in zip([p, state.m[0], state.v[0]], before):
+    for a, b in zip([p, state.m, state.v], before):
         assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
 def test_training_determinism():
     def run():
         rng = np.random.default_rng(5)
-        net = init_dense([4, 8, 2], rng)
+        net, flat = _flat_net(init_dense([4, 8, 2], rng))
+        grad = np.empty_like(flat)
         state = OptimizerState(lr=1e-3)
         x = rng.standard_normal((16, 4))
         y = rng.standard_normal((16, 2))
         for _ in range(50):
             out, cache = forward_cached(net, x)
-            grads, _ = backward(net, cache, 2.0 * (out - y) / 16)
-            optimizer_step(state, net.param_list(), grads)
-        return [p.copy() for p in net.param_list()]
+            backward(net, cache, 2.0 * (out - y) / 16, out=_views(grad, net.param_list()))
+            optimizer_step(state, flat, grad)
+        return flat.copy()
 
-    for a, b in zip(run(), run()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(run(), run())
 
 
 def test_convex_probe_monotone_after_warmup():
     """Linear regression probe: 10-step-window losses strictly decrease."""
     rng = np.random.default_rng(9)
-    net = init_dense([4, 1], rng, activation="identity")
+    net, flat = _flat_net(init_dense([4, 1], rng, activation="identity"))
+    grad = np.empty_like(flat)
     W_true = rng.standard_normal((1, 4))
     x = rng.standard_normal((64, 4))
     y = x @ W_true.T
@@ -188,8 +201,8 @@ def test_convex_probe_monotone_after_warmup():
     for _ in range(220):
         out, cache = forward_cached(net, x)
         losses.append(float(np.mean((out - y) ** 2)))
-        grads, _ = backward(net, cache, 2.0 * (out - y) / 64)
-        optimizer_step(state, net.param_list(), grads)
+        backward(net, cache, 2.0 * (out - y) / 64, out=_views(grad, net.param_list()))
+        optimizer_step(state, flat, grad)
     windows = [np.mean(losses[i:i + 10]) for i in range(20, 220, 10)]
     assert all(b < a for a, b in zip(windows, windows[1:]))
 

@@ -252,7 +252,7 @@ def test_gradient_isolation_of_reference(setup, sch100, rng):
         loss, grads = unpaired_loss_step(params, ref, ds.x_a[:16], ds.x_b[:16],
                                          1, 0, 2, datasets[1].side(2), sch100,
                                          cfg, rng, topo)
-        optimizer_step(opt, [params.flat], [grads])
+        optimizer_step(opt, params.flat, grads)
     for p, q in zip(ref.param_list(), ref_before):
         assert np.array_equal(p, q)
     # the student did move
@@ -400,11 +400,11 @@ def test_training_updates_params_flat_in_float32(setup, sch100, rng, monkeypatch
 
     states, updated, teachers = [], [], []
 
-    def spy_step(state, ps, gs):
-        assert [a.dtype for a in ps + gs] == [np.float32, np.float32]
+    def spy_step(state, p, g):
+        assert p.dtype == g.dtype == np.float32
         states.append(state)
-        updated.extend(ps)
-        optimizer_step(state, ps, gs)
+        updated.append(p)
+        optimizer_step(state, p, g)
 
     def spy_freeze(p):
         teachers.append(freeze(p))
@@ -420,7 +420,7 @@ def test_training_updates_params_flat_in_float32(setup, sch100, rng, monkeypatch
     assert result.params.flat.dtype == np.float32
     assert len(states) == 10 and all(state is states[0] for state in states)
     opt = states[0]
-    assert opt.step == 10 and [a.dtype for a in opt.m + opt.v] == [np.float32] * 2
+    assert opt.step == 10 and opt.m.dtype == opt.v.dtype == np.float32
     assert teachers and all(p.dtype == np.float32 for p in teachers[0].param_list())
     assert np.array_equal(teachers[0].flat, params.flat.astype(np.float32))
     assert not np.shares_memory(teachers[0].flat, result.params.flat)
