@@ -4,10 +4,13 @@ The kernels compute in the dtype of their inputs (float32 for training,
 AdamW included, and for inference; float64 for the gradient checks) and reuse
 one work array through `out=` ufuncs.
 Their results are bit-identical to the plain expressions `h @ w.T + b`,
-`u * (1 + tanh(u))` with u = z / 2, and `s * (1 + z * (1 - s))` with
-s = (1 + tanh(z / 2)) / 2. SiLU is z * sigmoid(z), and sigmoid(z) is
-(1 + tanh(z / 2)) / 2: the tanh form needs no exp, which can overflow, and no
-divide. One kernel serves training and inference.
+`u * q` with u = z / 2 and the gate q = 1 + tanh(u), and
+`s * (1 + z * (1 - s))` with s = q / 2. SiLU is z * sigmoid(z), and
+sigmoid(z) is (1 + tanh(z / 2)) / 2: the tanh form needs no exp, which can
+overflow, and no divide. `silu` returns the gate with its output, and
+`silu_grad` takes it, so a backward pass computes no tanh (the derivative is
+sigmoid(z) (1 + z (1 - sigmoid(z))), Elfwing et al., arXiv:1702.03118). One
+kernel serves training and inference; a forward-only caller drops the gate.
 
 `affine`'s bias may be a (B, out) block as well as an (out,) vector: a
 forward-only router call passes layer 0's precomputed source, label and bias
@@ -24,18 +27,18 @@ USING_NUMBA = False
 
 
 def silu(z):
+    """(silu(z), q) with the gate q = 1 + tanh(z / 2); the output is written
+    into the buffer of z / 2."""
     u = np.multiply(z, 0.5)
-    out = np.tanh(u)
-    out += 1.0
-    out *= u
-    return out
+    q = np.tanh(u)
+    q += 1.0
+    u *= q
+    return u, q
 
 
-def silu_grad(z):
-    s = np.multiply(z, 0.5)
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
+def silu_grad(z, q):
+    """The derivative of SiLU at z from the gate q that `silu(z)` returned."""
+    s = np.multiply(q, 0.5)
     out = np.subtract(1.0, s)
     out *= z
     out += 1.0

@@ -36,14 +36,25 @@ def sliced_wasserstein(A: np.ndarray, B: np.ndarray, projections: int = 128,
     d = A.shape[1]
     dirs = rng.standard_normal((projections, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = np.sort(A @ dirs.T, axis=0)
-    pb = np.sort(B @ dirs.T, axis=0)
+    pa, pb = _sorted_projections(A, dirs), _sorted_projections(B, dirs)
     if len(A) != len(B):
         q = (np.arange(max(len(A), len(B))) + 0.5) / max(len(A), len(B))
-        pa = np.quantile(pa, q, axis=0)
-        pb = np.quantile(pb, q, axis=0)
-    w2_sq = np.mean((pa - pb) ** 2, axis=0)
+        pa = np.quantile(pa, q, axis=1)
+        pb = np.quantile(pb, q, axis=1)
+    else:
+        pa, pb = pa.T, pb.T
+    # the squared gaps as a C-ordered (samples, projections) array, so that
+    # the mean over samples adds them row by row
+    w2_sq = np.mean(np.subtract(pa, pb, order="C") ** 2, axis=0)
     return float(np.sqrt(np.mean(w2_sq)))
+
+
+def _sorted_projections(X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(projections, samples): row p holds X's projections on dirs[p], sorted
+    along the contiguous row."""
+    proj = (X @ dirs.T).T.copy()
+    proj.sort(axis=1)
+    return proj
 
 
 def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
@@ -54,10 +65,8 @@ def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if bandwidth == "median":
-        pooled = np.concatenate([A[:250], B[:250]])
-        dists = np.sqrt(sq_dists(pooled, pooled))
-        med = np.median(dists[np.triu_indices_from(dists, k=1)])
-        bandwidth = float(med) if med > 0 else 1.0
+        med = _median_distance(np.concatenate([A[:250], B[:250]]))
+        bandwidth = med if med > 0 else 1.0
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
@@ -65,6 +74,16 @@ def mmd_rbf(A: np.ndarray, B: np.ndarray, bandwidth="median") -> float:
     n, m = len(A), len(B)
     est = s_aa / (n * (n - 1)) + s_bb / (m * (m - 1)) - 2.0 * s_ab / (n * m)
     return max(float(est), 0.0)
+
+
+def _median_distance(X: np.ndarray) -> float:
+    """np.median of the distances between the rows i < j of X. Only the middle
+    one or two squared distances get a square root: sqrt is monotone, so the
+    result is the same to the bit. A NaN distance gives NaN, as in np.median."""
+    sq = sq_dists(X, X)[~np.tri(len(X), dtype=bool)]  # the pairs i < j, row by row
+    lo, hi = (sq.size - 1) // 2, sq.size // 2  # the middle one or two
+    sq.partition([lo, hi, -1])  # a NaN sorts to the end
+    return float("nan") if np.isnan(sq[-1]) else float(np.mean(np.sqrt(sq[lo:hi + 1])))
 
 
 def oracle_self_distance(inst: GaussianInstance, src: int, tgt: int, x_src: np.ndarray,

@@ -8,13 +8,17 @@ have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
 between layers (none after the last). One loop, `forward_from_layer0`, runs
 the layers after the first from layer 0's pre-activation; `forward_cached`
 computes that pre-activation from the full input, and the router's
-forward-only calls assemble it from a block precomputed once per chain. A
-network's parameters and its gradients share one layout: a list of arrays in
-`param_list()` order, layer by layer the weight then the bias. `backward` can
-write its gradients into caller-owned arrays; the router passes views into
-one flat vector, so its optimizer step is one AdamW update of that one
-array. `backward` stops at layer 0's pre-activation: the router needs the
-input gradient of only its embedding columns.
+forward-only calls assemble it from a block precomputed once per chain.
+`forward_cached` also keeps each hidden layer's SiLU gate 1 + tanh(z / 2),
+from which `backward` forms the SiLU derivative without a tanh of its own:
+a training pass holds one more (B, width) array per hidden layer, and a
+forward-only pass drops the gate at once. A network's parameters and its
+gradients share one layout: a list of arrays in `param_list()` order, layer
+by layer the weight then the bias. `backward` can write its gradients into
+caller-owned arrays; the router passes views into one flat vector, so its
+optimizer step is one AdamW update of that one array. `backward` stops at
+layer 0's pre-activation: the router needs the input gradient of only its
+embedding columns.
 """
 
 from dataclasses import dataclass
@@ -63,25 +67,26 @@ def init_dense(widths: list[int], rng: np.random.Generator,
     return DenseNet(weights=weights, biases=biases, activation=activation)
 
 
-def _activate(net: DenseNet, z: np.ndarray) -> np.ndarray:
+def _activate(net: DenseNet, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(activation of z, the gate `_activate_grad` takes: None for identity)."""
     if net.activation == "silu":
         return _kernels.silu(z)
     if net.activation == "identity":
-        return z
+        return z, None
     raise ValueError(f"unsupported activation {net.activation!r}")
 
 
-def _activate_grad(net: DenseNet, z: np.ndarray) -> np.ndarray:
+def _activate_grad(net: DenseNet, z: np.ndarray, q: np.ndarray | None) -> np.ndarray:
     if net.activation == "silu":
-        return _kernels.silu_grad(z)
+        return _kernels.silu_grad(z, q)
     if net.activation == "identity":
         return np.ones_like(z)
     raise ValueError(f"unsupported activation {net.activation!r}")
 
 
 def forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping each layer's input and pre-activation for the
-    backward pass.
+    """Forward pass keeping each layer's input and pre-activation, and each
+    hidden layer's activation gate, for the backward pass.
 
     x: (B, d_in) or (d_in,), cast once to the dtype of the weights.
     Returns (output, cache).
@@ -90,22 +95,23 @@ def forward_cached(net: DenseNet, x: np.ndarray):
     h = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     if h.shape[1] != net.weights[0].shape[1]:
         raise ValueError(f"input width {h.shape[1]} != layer width {net.weights[0].shape[1]}")
-    hs, zs = [h], [_kernels.affine(h, net.weights[0], net.biases[0])]
-    out = forward_from_layer0(net, zs[0], (hs, zs))
-    return (out[0] if squeeze else out), (hs, zs, squeeze)
+    hs, zs, qs = [h], [_kernels.affine(h, net.weights[0], net.biases[0])], []
+    out = forward_from_layer0(net, zs[0], (hs, zs, qs))
+    return (out[0] if squeeze else out), (hs, zs, qs, squeeze)
 
 
 def forward_from_layer0(net: DenseNet, z: np.ndarray, record) -> np.ndarray:
     """The network's output from layer 0's pre-activation z, (B, width_1):
     the one loop over the later layers. `record` is None for a forward-only
-    pass, or the (inputs, pre-activations) lists of a pass kept for the
-    backward pass, to which each later layer's are appended."""
+    pass, or the (inputs, pre-activations, gates) lists of a pass kept for
+    the backward pass, to which each later layer's are appended."""
     for w, b in zip(net.weights[1:], net.biases[1:]):
-        h = _activate(net, z)
+        h, q = _activate(net, z)
         z = _kernels.affine(h, w, b)
         if record is not None:
             record[0].append(h)
             record[1].append(z)
+            record[2].append(q)
     return z
 
 
@@ -123,7 +129,7 @@ def backward(net: DenseNet, cache, output_grad: np.ndarray,
     of the layer-0 weight. The gradients are written into `out` when it is
     given (arrays shaped like the parameters, of their dtype), else into new
     arrays. output_grad is cast once to the weights' dtype."""
-    hs, zs, squeeze = cache
+    hs, zs, qs, squeeze = cache
     g = np.atleast_2d(np.asarray(output_grad, dtype=net.weights[0].dtype))
     if g.shape != zs[-1].shape:
         raise ValueError(f"output grad shape {g.shape} != output shape {zs[-1].shape}")
@@ -131,10 +137,10 @@ def backward(net: DenseNet, cache, output_grad: np.ndarray,
         out = [np.empty_like(p) for p in net.param_list()]
     for li in range(len(net.weights) - 1, -1, -1):
         np.matmul(g.T, hs[li], out=out[2 * li])
-        np.sum(g, axis=0, out=out[2 * li + 1])
+        np.add.reduce(g, axis=0, out=out[2 * li + 1])
         if li:
             g = g @ net.weights[li]
-            g *= _activate_grad(net, zs[li - 1])
+            g *= _activate_grad(net, zs[li - 1], qs[li - 1])
     return out, (g[0] if squeeze else g)
 
 

@@ -217,13 +217,22 @@ def forward_cached(params: RouterParams, x_t, t, x_src, tgt, src):
     return out, (cache, tgt, src)
 
 
-def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray:
+def gradient_buffer(params: RouterParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new vector in the layout and dtype of `params.flat`, with its views
+    shaped like `param_list()`: the `out` of `backward`."""
+    flat = np.empty_like(params.flat)
+    return flat, _param_views(params, flat)
+
+
+def backward(params: RouterParams, cache, output_grad: np.ndarray, out=None) -> np.ndarray:
     """The gradient of <output, output_grad> as a vector in the layout and
     dtype of `params.flat`; each row's embedding gradient goes to its labels.
-    Of layer 0's input gradient only the 2 E embedding columns are formed."""
+    Of layer 0's input gradient only the 2 E embedding columns are formed.
+    The gradient is written into `out`, a `gradient_buffer(params)` that a
+    training loop makes once, when it is given, else into a new vector."""
     net_cache, tgt, src = cache
-    grads = np.empty_like(params.flat)
-    *net_grads, emb_grad = _param_views(params, grads)
+    grads, views = gradient_buffer(params) if out is None else out
+    *net_grads, emb_grad = views
     _, gz = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     E = params.emb_dim
     g_emb = gz @ params.backbone.weights[0][:, 2 * params.data_dim + params.time_dim:]
@@ -235,7 +244,7 @@ def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray
 def _one_hot(labels, K: int, rows: np.ndarray) -> np.ndarray:
     """(K, B) indicator of each row's label, in the dtype of `rows`: its
     product with the rows sums them per label, for an int or per-row labels."""
-    return (np.arange(K)[:, None] == np.broadcast_to(labels, rows.shape[:1])).astype(rows.dtype)
+    return np.equal(np.arange(K)[:, None], labels, out=np.empty((K, len(rows)), rows.dtype))
 
 
 def _param_views(params: RouterParams, flat: np.ndarray) -> list[np.ndarray]:

@@ -16,8 +16,10 @@ a `BridgeSchedule` bridges the pair's two sides and supports paired training onl
 Training runs in float32 on one parameter vector: the trained
 `RouterParams.flat`, its gradient and the AdamW moments are all float32, and
 each step's AdamW update writes into `flat` in place. A gradient is a flat
-vector in the layout of `RouterParams.flat`. Labels are per row, so a paired or
-combined step is one forward and one backward pass over its rows (`_regress`).
+vector in the layout of `RouterParams.flat`; `train` writes every step's
+gradient into one such vector, made once per call (`router.gradient_buffer`).
+Labels are per row, so a paired or combined step is one forward and one
+backward pass over its rows (`_regress`).
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -82,14 +84,15 @@ def _corrupt(x_tgt, x_src, t, eps, sch):
 
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
                      sch, rng: np.random.Generator, *,
-                     topo: Topology | None = None, predict_fn=None, zeta=None
-                     ) -> tuple[float, np.ndarray | None]:
+                     topo: Topology | None = None, predict_fn=None, zeta=None,
+                     out=None) -> tuple[float, np.ndarray | None]:
     """One evaluation of the bidirectional paired objective on a batch.
 
     Per example: t ~ U(1, T), eps ~ N(0, I), zeta ~ Bernoulli(0.5); the
     zeta-selected side of the pair is corrupted and only that direction's
     squared noise-prediction error contributes; zeta = 1 corrupts the a side.
-    Returns the mean per-example loss and the gradient of `params.flat`. A
+    Returns the mean per-example loss and the gradient of `params.flat`,
+    written into `out` when it is given (see `router.backward`). A
     `predict_fn` stands in for params and computes no gradient: the second
     value is then None.
     """
@@ -97,7 +100,7 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     if predict_fn is not None:
         resid = predict_fn(*inputs) - eps
         return float(np.sum(resid * resid)) / len(eps), None
-    return _regress(params, [(*inputs, eps, 1.0)])
+    return _regress(params, [(*inputs, eps, 1.0)], out)
 
 
 def _paired_rows(ds: PairedDataset, batch_idx, sch, rng, zeta=None, topo=None) -> tuple:
@@ -120,10 +123,11 @@ def _paired_rows(ds: PairedDataset, batch_idx, sch, rng, zeta=None, topo=None) -
     return _corrupt(x_tgt, x_src, t, eps, sch), t, x_src, tgt, src, eps
 
 
-def _regress(params: RouterParams, blocks: list[tuple]) -> tuple:
+def _regress(params: RouterParams, blocks: list[tuple], out=None) -> tuple:
     """One pass of params over the row blocks (x_t, t, x_src, tgt, src, target,
     weight), stacked: each block's mean squared residual L_k, then the gradient
-    of sum_k weight_k L_k, each row's output gradient weighted by its block's."""
+    of sum_k weight_k L_k, each row's output gradient weighted by its block's,
+    written into `out` when it is given (see `router.backward`)."""
     cols = [col[0] if len(col) == 1 else np.concatenate(col) for col in list(zip(*blocks))[:6]]
     pred, cache = router_mod.forward_cached(params, *cols[:5])
     resid = pred - cols[5]
@@ -134,7 +138,7 @@ def _regress(params: RouterParams, blocks: list[tuple]) -> tuple:
         losses.append(float(np.sum(r * r)) / len(r))
         r *= 2.0 * weight
         r /= len(r)
-    return *losses, router_mod.backward(params, cache, resid)
+    return *losses, router_mod.backward(params, cache, resid, out)
 
 
 def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
@@ -158,14 +162,16 @@ def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
                        sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
-                       topo: Topology, rehearsal: PairedDataset | None = None) -> tuple:
+                       topo: Topology, rehearsal: PairedDataset | None = None,
+                       out=None) -> tuple:
     """Distillation step for the direct mapping i -> j.
 
     batch_i / batch_c are aligned pair sides from the (i, c) dataset. The
     noisy target x_t^j starts from a forward-diffused draw out of x_j_pool and
     is Tweedie-refined against x_c before the frozen reference is queried.
     The reference receives no gradient. Returns (loss, grads) of this term, or
-    with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`.
+    with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`;
+    grads is written into `out` when it is given (see `router.backward`).
     """
     if isinstance(sch, BridgeSchedule):
         raise ValueError(
@@ -183,12 +189,12 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     x_t_j = tweedie_refine(teacher, x_t_j, t, sch, rng, n=cfg.n_refine)
     block = (x_t_j, t, batch_i, np.full(B, j), np.full(B, i), teacher(x_t_j, t))
     if rehearsal is None:
-        return _regress(params, [(*block, 1.0)])
+        return _regress(params, [(*block, 1.0)], out)
     if cfg.lambda2 == 0.0:
-        l_u, grads = _regress(params, [(*block, cfg.lambda1)])
+        l_u, grads = _regress(params, [(*block, cfg.lambda1)], out)
         return l_u, 0.0, grads
     return _regress(params, [(*block, cfg.lambda1),
-                             _rehearsal_rows(rehearsal, cfg, sch, rng, topo)])
+                             _rehearsal_rows(rehearsal, cfg, sch, rng, topo)], out)
 
 
 def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tuple:
@@ -198,22 +204,23 @@ def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tupl
 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
                     unpaired: tuple, cfg: TrainConfig, sch: DiffusionSchedule,
-                    rng: np.random.Generator, topo: Topology
+                    rng: np.random.Generator, topo: Topology, out=None
                     ) -> tuple[float, float, float, np.ndarray]:
     """Combined objective lambda1 * L_unpaired + lambda2 * L_paired for one
     step. `unpaired` is (batch_i, batch_c, i, c, j, x_j_pool); its rows are
     drawn first, then a rehearsal batch from paired_ds, and one forward and
     one backward pass over both gives the gradient. Returns (total,
-    unpaired_loss, paired_loss, grads); a term with a zero coefficient is
+    unpaired_loss, paired_loss, grads), grads written into `out` when it is
+    given (see `router.backward`); a term with a zero coefficient is
     skipped."""
     if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
         raise ValueError("at least one loss coefficient must be positive")
     if cfg.lambda1 > 0.0:
         l_u, l_p, grads = unpaired_loss_step(params, ref, *unpaired, sch, cfg, rng, topo,
-                                             rehearsal=paired_ds)
+                                             rehearsal=paired_ds, out=out)
     else:
         l_u = 0.0
-        l_p, grads = _regress(params, [_rehearsal_rows(paired_ds, cfg, sch, rng, topo)])
+        l_p, grads = _regress(params, [_rehearsal_rows(paired_ds, cfg, sch, rng, topo)], out)
     return cfg.lambda1 * l_u + cfg.lambda2 * l_p, l_u, l_p, grads
 
 
@@ -268,21 +275,24 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
     opt = OptimizerState(lr=lr, warmup_steps=warmup)
     log = _WindowLog()
+    # every step's gradient is written into this one vector, which each
+    # optimizer step consumes before the next step overwrites it
+    grads = router_mod.gradient_buffer(params)
 
     if cfg.regime == "paired-only":
-        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log)
+        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log, grads)
     else:
-        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
+        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log, grads)
     if log.acc:  # the trailing partial window
         log.flush(cfg.steps, opt.effective_lr())
     return TrainResult(params=params, log_rows=log.rows)
 
 
-def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
+def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log, out):
     for step in range(1, cfg.steps + 1):
         ds = datasets[(step - 1) % len(datasets)]
         idx = rng.integers(0, len(ds), size=cfg.batch_size)
-        loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo)
+        loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo, out=out)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
         optimizer_step(opt, params.flat, grads)
@@ -291,7 +301,7 @@ def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
             log.flush(step, opt.effective_lr())
 
 
-def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
+def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log, out):
     # each non-edge direction i -> j with its route resolved once: the hop
     # count, the first hop c, the (i, c) dataset and the dataset holding j
     directions = []
@@ -308,10 +318,18 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
     if cfg.curriculum:
         phases = [[route for route in directions if route[2] == hops]
                   for hops in sorted({route[2] for route in directions})]
+    # each phase but the last trains steps // len(phases) steps, the last the
+    # rest, and a phase's steps take its directions in turn
+    n = len(phases)
+    steps_per_phase = [cfg.steps // n] * (n - 1) + [cfg.steps - (n - 1) * (cfg.steps // n)]
+    for phase, (phase_steps, phase_dirs) in enumerate(zip(steps_per_phase, phases)):
+        if phase_steps < len(phase_dirs):
+            raise ValueError(f"{cfg.steps} steps give phase {phase + 1} of {n} only "
+                             f"{phase_steps} steps for its {len(phase_dirs)} non-edge "
+                             "directions; each direction needs at least one step")
     ref = params if cfg.regime == "from-scratch" else freeze(params)
     step = 0
-    for phase, phase_dirs in enumerate(phases):
-        phase_steps = cfg.steps // len(phases) if phase < len(phases) - 1 else cfg.steps - step
+    for phase, (phase_steps, phase_dirs) in enumerate(zip(steps_per_phase, phases)):
         if phase > 0 and cfg.regime == "finetune":
             ref = freeze(params)  # distance-(h-1) directs teach the next phase
         for _ in range(phase_steps):
@@ -321,7 +339,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
             unpaired = (ds_ic.side(i)[idx], ds_ic.side(c)[idx], i, c, j, ds_j.side(j))
             paired_ds = datasets[(step - 1) % len(datasets)]
             total, l_u, l_p, grads = final_loss_step(params, ref, paired_ds,
-                                                     unpaired, cfg, sch, rng, topo)
+                                                     unpaired, cfg, sch, rng, topo, out)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
             optimizer_step(opt, params.flat, grads)

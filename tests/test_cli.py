@@ -338,6 +338,59 @@ def test_training_shorter_than_log_window(workspace):
     assert "polyline" in (run / "plots/finetune-loss.svg").read_text()
 
 
+# a K=5 chain: the curriculum's phases hold 6, 4 and 2 non-edge directions
+# (hop counts 2, 3 and 4)
+CHAIN5 = ("instance.topology=chain", "instance.k=5", "instance.n_train=300",
+          "instance.n_eval_tuples=100", "schedule.t=5", "network.hidden=8",
+          "train.steps=5")
+CURRICULUM_STAGES = [("finetune-direct", "finetune_steps", "finetune"),
+                     ("train-scratch", "scratch_steps", "from-scratch")]
+
+
+def _chain5_args(cfg_path, key, steps):
+    args = ["--config", cfg_path]
+    for ov in (*CHAIN5, f"train.{key}={steps}"):
+        args += ["--override", ov]
+    return args
+
+
+@pytest.mark.parametrize("stage, key, regime", CURRICULUM_STAGES)
+def test_curriculum_phase_with_fewer_steps_than_directions_is_refused(
+        workspace, capsys, stage, key, regime):
+    """17 steps give the phases 5, 5 and 7 steps, so the first would leave a
+    distance-2 direction untrained: the run is refused as one line before it
+    trains, and writes no checkpoint or log."""
+    root, cfg_path = workspace
+    args = _chain5_args(cfg_path, key, 17)
+    for pre in ("gen-data", "train-paired"):
+        assert main([pre, *args]) == 0, pre
+    capsys.readouterr()
+    assert main([stage, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert ("17 steps give phase 1 of 3 only 5 steps for its 6 non-edge directions"
+            in err), err
+    run = _run(root, load_config(cfg_path, [*CHAIN5, f"train.{key}=17"]))
+    assert not (run / f"logs/{regime}.csv").exists()
+
+
+@pytest.mark.parametrize("stage, key, regime", CURRICULUM_STAGES)
+def test_curriculum_with_a_step_per_direction_trains_every_direction(
+        workspace, stage, key, regime):
+    """18 steps give each phase 6 steps, enough for all of its directions:
+    the loss log holds every one of the chain's 12 non-edge directions."""
+    root, cfg_path = workspace
+    args = _chain5_args(cfg_path, key, 18)
+    for st in ("gen-data", "train-paired", stage):
+        assert main([st, *args]) == 0, st
+    run = _run(root, load_config(cfg_path, [*CHAIN5, f"train.{key}=18"]))
+    with open(run / f"logs/{regime}.csv", newline="") as fh:
+        logged = {row["direction"] for row in csv.DictReader(fh)}
+    topo = datagen.Topology.chain(5)
+    assert {d for d in logged if d.startswith("unpaired:")} == {
+        f"unpaired:{i}->{j}" for i, j in topo.directions("nonedges")}
+
+
 def test_ablate_sweeps(workspace):
     root, cfg_path = workspace
     cfg = load_config(cfg_path)

@@ -15,11 +15,18 @@ from diffrouter.metrics import mmd_rbf
 # kernels: in-place evaluation, dtype preservation, overflow limits
 
 def test_numpy_kernels_match_plain_expressions_bitwise(rng):
-    z = 30.0 * rng.standard_normal((64, 32))
-    u = z / 2
-    s = (1.0 + np.tanh(u)) / 2
-    assert np.array_equal(_kernels.silu(z), u * (1.0 + np.tanh(u)))
-    assert np.array_equal(_kernels.silu_grad(z), s * (1.0 + z * (1.0 - s)))
+    """silu returns its output and the gate 1 + tanh(z / 2), and silu_grad
+    forms the derivative from that gate, each the plain expression to the bit
+    in float32 and float64."""
+    for dtype in (np.float32, np.float64):
+        z = (30.0 * rng.standard_normal((64, 32))).astype(dtype)
+        u = z / 2
+        s = (1.0 + np.tanh(u)) / 2
+        h, q = _kernels.silu(z)
+        assert h.dtype == q.dtype == dtype
+        assert np.array_equal(h, u * (1.0 + np.tanh(u)))
+        assert np.array_equal(q, 1.0 + np.tanh(u))
+        assert np.array_equal(_kernels.silu_grad(z, q), s * (1.0 + z * (1.0 - s)))
     h = rng.standard_normal((16, 10))
     w = rng.standard_normal((7, 10))
     b = rng.standard_normal(7)
@@ -34,8 +41,9 @@ def test_tanh_form_silu_matches_the_logistic_form(rng):
     rounding over the range where neither saturates."""
     z = np.concatenate([np.linspace(-60.0, 60.0, 4801), 8.0 * rng.standard_normal(4096)])
     s = 1.0 / (1.0 + np.exp(-z))
-    assert np.max(np.abs(_kernels.silu(z) - z * s)) < 1e-13
-    assert np.max(np.abs(_kernels.silu_grad(z) - s * (1.0 + z * (1.0 - s)))) < 1e-13
+    h, q = _kernels.silu(z)
+    assert np.max(np.abs(h - z * s)) < 1e-13
+    assert np.max(np.abs(_kernels.silu_grad(z, q) - s * (1.0 + z * (1.0 - s)))) < 1e-13
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -43,8 +51,8 @@ def test_silu_saturates_without_warning(dtype):
     z = np.array([-1000.0, 1000.0], dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = _kernels.silu(z)
-        g = _kernels.silu_grad(z)
+        y, q = _kernels.silu(z)
+        g = _kernels.silu_grad(z, q)
     assert y.dtype == dtype and g.dtype == dtype
     assert np.array_equal(y, np.array([0.0, 1000.0], dtype=dtype))
     assert np.array_equal(g, np.array([0.0, 1.0], dtype=dtype))

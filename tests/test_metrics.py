@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffrouter import datagen, metrics, sample
+from diffrouter import _kernels, datagen, metrics, sample
 from diffrouter.datagen import GaussianInstance, OracleScorePredictor
 from diffrouter.metrics import (evaluate_checkpoint, mmd_rbf,
                                 nested_vs_direct_kl, oracle_self_distance,
@@ -53,6 +53,35 @@ def test_sw_unequal_sizes(rng):
     assert small < 0.25  # same distribution, noise-floor level
 
 
+def _sw_columns(A, B, projections=128, rng=None):
+    """The sort-by-columns form sliced_wasserstein had before it sorted
+    contiguous rows: the reference for bit-identity."""
+    rng = rng or np.random.default_rng(0)
+    dirs = rng.standard_normal((projections, A.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pa = np.sort(A @ dirs.T, axis=0)
+    pb = np.sort(B @ dirs.T, axis=0)
+    if len(A) != len(B):
+        q = (np.arange(max(len(A), len(B))) + 0.5) / max(len(A), len(B))
+        pa = np.quantile(pa, q, axis=0)
+        pb = np.quantile(pb, q, axis=0)
+    w2_sq = np.mean((pa - pb) ** 2, axis=0)
+    return float(np.sqrt(np.mean(w2_sq)))
+
+
+@pytest.mark.parametrize("n, m, d", [(1000, 1000, 2), (300, 300, 64), (400, 250, 2),
+                                     (37, 120, 64), (2, 3, 1)])
+def test_sw_rows_match_the_column_form_bitwise(rng, n, m, d):
+    """Sorting each projection along a contiguous row changes no bit, for
+    equal set sizes and for the quantile path of unequal ones."""
+    for seed in range(3):
+        A = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2)
+        B = rng.standard_normal((m, d)) + 0.5
+        got = sliced_wasserstein(A, B, projections=64, rng=np.random.default_rng(seed))
+        want = _sw_columns(A, B, projections=64, rng=np.random.default_rng(seed))
+        assert got == want
+
+
 def test_sw_validation(rng):
     with pytest.raises(ValueError):
         sliced_wasserstein(np.zeros((5, 2)), np.zeros((5, 3)))
@@ -95,6 +124,34 @@ def test_mmd_matches_double_sum_oracle(rng):
     s_ab = sum(k(A[i], B[j]) for i in range(40) for j in range(50))
     expect = max(s_aa / (40 * 39) + s_bb / (50 * 49) - 2 * s_ab / (40 * 50), 0.0)
     assert abs(mmd_rbf(A, B, bandwidth=h) - expect) < 1e-10
+
+
+def _median_distance_sqrt_all(X):
+    """The median bandwidth as mmd_rbf took it before it skipped the square
+    roots: the square root of every pair, then np.median."""
+    dists = np.sqrt(_kernels.sq_dists(X, X))
+    return float(np.median(dists[np.triu_indices_from(dists, k=1)]))
+
+
+@pytest.mark.parametrize("n_a, n_b", [(3, 3), (3, 4), (250, 250), (60, 50), (2, 2)])
+def test_mmd_median_bandwidth_matches_every_square_root_bitwise(rng, n_a, n_b):
+    """Pooled sizes 6, 7, 500, 110 and 4 give odd (15, 21, 5995) and even
+    (124750, 6) pair counts; the bandwidth and the MMD are the same to the bit
+    as with the square root of every pair."""
+    for _ in range(3):
+        A = rng.standard_normal((n_a, 2)) * 10.0 ** rng.uniform(-2, 2)
+        B = rng.standard_normal((n_b, 2)) + 0.7
+        pooled = np.concatenate([A[:250], B[:250]])
+        h = _median_distance_sqrt_all(pooled)
+        assert metrics._median_distance(pooled) == h
+        assert mmd_rbf(A, B) == mmd_rbf(A, B, bandwidth=h)
+
+
+def test_mmd_median_bandwidth_of_a_nan_distance_is_nan():
+    """As np.median, a NaN among the distances gives a NaN median."""
+    X = np.array([[0.0, 1.0], [np.nan, 0.0], [2.0, 2.0], [1.0, 0.0]])
+    assert np.isnan(_median_distance_sqrt_all(X))
+    assert np.isnan(metrics._median_distance(X))
 
 
 def test_mmd_validation(rng):

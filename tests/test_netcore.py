@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffrouter import netcore
+from diffrouter import _kernels, netcore
 from diffrouter.netcore import (DenseNet, DivergenceError, OptimizerState,
                                 backward, forward, forward_cached, init_dense,
                                 load_params, optimizer_step, save_params)
@@ -23,6 +23,31 @@ def _reference_forward(net, x):
         else:
             h = z
     return np.array(h)
+
+
+def test_backward_takes_the_gates_the_forward_pass_kept(rng, monkeypatch):
+    """In one forward_cached + backward, silu_grad receives the very gate
+    arrays silu returned, one per hidden layer, so the backward pass computes
+    no tanh."""
+    silu, silu_grad = _kernels.silu, _kernels.silu_grad
+    made, taken = [], []
+
+    def spy_silu(z):
+        h, q = silu(z)
+        made.append(q)
+        return h, q
+
+    def spy_silu_grad(z, q):
+        taken.append(q)
+        return silu_grad(z, q)
+
+    monkeypatch.setattr(_kernels, "silu", spy_silu)
+    monkeypatch.setattr(_kernels, "silu_grad", spy_silu_grad)
+    net = init_dense([5, 8, 7, 6, 3], rng)
+    out, cache = forward_cached(net, rng.standard_normal((4, 5)))
+    backward(net, cache, rng.standard_normal(out.shape))
+    assert len(made) == len(taken) == 3
+    assert all(a is b for a, b in zip(taken, reversed(made)))
 
 
 def test_forward_zero_params():

@@ -162,6 +162,18 @@ def test_mixed_label_backward_is_sum_of_single_label_passes(params, rng):
     assert np.linalg.norm(mixed - total) <= 1e-12 * np.linalg.norm(total)
 
 
+@pytest.mark.parametrize("labels", [2, np.int64(1), np.array([0, 2, 1, 2, 0, 0, 1])])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_hot_equals_the_broadcast_form(labels, dtype):
+    """The (K, B) indicator of an int label or of per-row labels equals the
+    comparison against the labels broadcast to the rows."""
+    rows = np.zeros((7, 5), dtype)
+    want = (np.arange(3)[:, None] == np.broadcast_to(labels, rows.shape[:1])).astype(dtype)
+    got = router._one_hot(labels, 3, rows)
+    assert got.dtype == want.dtype and got.shape == (3, 7)
+    assert np.array_equal(got, want)
+
+
 def test_label_and_dim_validation(params, rng):
     with pytest.raises(ValueError):
         params(rng.standard_normal(2), 1, rng.standard_normal(2), 3, 0)
