@@ -9,13 +9,14 @@ Their results are bit-identical to the plain expressions `h @ w.T + b`,
 sigmoid(z) is (1 + tanh(z / 2)) / 2: the tanh form needs no exp, which can
 overflow, and no divide. `silu` returns the gate with its output, and
 `silu_grad` takes it, so a backward pass computes no tanh (the derivative is
-sigmoid(z) (1 + z (1 - sigmoid(z))), Elfwing et al., arXiv:1702.03118). One
-kernel serves training and inference; a forward-only caller drops the gate.
+sigmoid(z) (1 + z (1 - sigmoid(z))), Elfwing et al., arXiv:1702.03118).
+Training uses `silu`. A forward-only pass keeps no gate and uses
+`silu_of_half`: its caller holds the halved pre-activation u = z / 2 (its
+weights prescaled by 0.5, which is exact in binary floating point), so the
+SiLU is u (1 + tanh u) in three in-place passes into a caller-owned array,
+bit-identical to `silu(z)[0]`.
 
-`affine`'s bias may be a (B, out) block as well as an (out,) vector: a
-forward-only router call passes layer 0's precomputed source, label and bias
-block there (see router.condition), so that only the x_t columns are
-multiplied per step. The MMD sums expand squared distances as
+The MMD sums expand squared distances as
 ||a||^2 + ||b||^2 - 2 a.b^T, so they agree with the direct double sums to
 rounding.
 """
@@ -34,6 +35,15 @@ def silu(z):
     q += 1.0
     u *= q
     return u, q
+
+
+def silu_of_half(u, out):
+    """silu(2 u) written into `out`, of u's shape and dtype, and returned:
+    u (1 + tanh u) with no new array."""
+    np.tanh(u, out=out)
+    out += 1.0
+    out *= u
+    return out
 
 
 def silu_grad(z, q):

@@ -5,14 +5,19 @@ loaded checkpoint, float64 for the gradient checks. The forward and backward
 passes compute in the dtype of the weights, and AdamW updates the parameters
 in place in their own dtype. Weights
 have shape (out, in); the forward map for one layer is h @ W.T + b with SiLU
-between layers (none after the last). One loop, `forward_from_layer0`, runs
-the layers after the first from layer 0's pre-activation; `forward_cached`
-computes that pre-activation from the full input, and the router's
-forward-only calls assemble it from a block precomputed once per chain.
-`forward_cached` also keeps each hidden layer's SiLU gate 1 + tanh(z / 2),
-from which `backward` forms the SiLU derivative without a tanh of its own:
-a training pass holds one more (B, width) array per hidden layer, and a
-forward-only pass drops the gate at once. A network's parameters and its
+between layers (none after the last). Two passes share that map.
+`forward_cached`, the training pass, keeps each layer's input and
+pre-activation and each hidden layer's SiLU gate 1 + tanh(z / 2), from which
+`backward` forms the SiLU derivative without a tanh of its own: it holds one
+more (B, width) array per hidden layer. `forward_inplace`, the forward-only
+pass, keeps nothing: it runs the layers after the first from layer 0's
+pre-activation (which the router assembles from a block computed once per
+binding), over copies of those layers made once by `forward_only_layers`,
+writing every layer into two caller-owned work arrays with `out=` ufuncs.
+With SiLU it carries each pre-activation halved, u = z / 2: the hidden
+layers' copies are multiplied by 0.5, which is exact in binary floating
+point, so each SiLU is `_kernels.silu_of_half` and the output is
+bit-identical to the training pass's. A network's parameters and its
 gradients share one layout: a list of arrays in `param_list()` order, layer
 by layer the weight then the bias. `backward` can write its gradients into
 caller-owned arrays; the router passes views into one flat vector, so its
@@ -95,24 +100,52 @@ def forward_cached(net: DenseNet, x: np.ndarray):
     h = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     if h.shape[1] != net.weights[0].shape[1]:
         raise ValueError(f"input width {h.shape[1]} != layer width {net.weights[0].shape[1]}")
-    hs, zs, qs = [h], [_kernels.affine(h, net.weights[0], net.biases[0])], []
-    out = forward_from_layer0(net, zs[0], (hs, zs, qs))
-    return (out[0] if squeeze else out), (hs, zs, qs, squeeze)
-
-
-def forward_from_layer0(net: DenseNet, z: np.ndarray, record) -> np.ndarray:
-    """The network's output from layer 0's pre-activation z, (B, width_1):
-    the one loop over the later layers. `record` is None for a forward-only
-    pass, or the (inputs, pre-activations, gates) lists of a pass kept for
-    the backward pass, to which each later layer's are appended."""
+    z = _kernels.affine(h, net.weights[0], net.biases[0])
+    hs, zs, qs = [h], [z], []
     for w, b in zip(net.weights[1:], net.biases[1:]):
         h, q = _activate(net, z)
         z = _kernels.affine(h, w, b)
-        if record is not None:
-            record[0].append(h)
-            record[1].append(z)
-            record[2].append(q)
-    return z
+        hs.append(h)
+        zs.append(z)
+        qs.append(q)
+    return (z[0] if squeeze else z), (hs, zs, qs, squeeze)
+
+
+def forward_only_layers(net: DenseNet) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """(scale, layers) for `forward_inplace`: copies of the (w, b) of the
+    layers after layer 0, each hidden one multiplied by scale, the output
+    layer as is. scale is 0.5 when a SiLU follows layer 0 and 1 otherwise;
+    a caller multiplies layer 0's pre-activation by it too."""
+    if net.activation not in ACTIVATIONS:
+        raise ValueError(f"unsupported activation {net.activation!r}")
+    scale = 0.5 if net.activation == "silu" and len(net.weights) > 1 else 1.0
+    scales = [scale] * (len(net.weights) - 2) + [1.0]
+    return scale, [(w * c, b * c) for w, b, c in zip(net.weights[1:], net.biases[1:], scales)]
+
+
+def forward_inplace(u: np.ndarray, layers, scale: float, work: list[np.ndarray]) -> np.ndarray:
+    """The output of `layers` from layer 0's pre-activation u, (B, width_1),
+    both multiplied by the scale `forward_only_layers` returned: at 0.5 each
+    layer's SiLU is `_kernels.silu_of_half`, at 1 there is no activation.
+    `work` is two flat arrays of u's dtype, each of at least B times the
+    widest layer; u is a view of the first. Each layer writes into the one
+    that does not hold its input, so u is overwritten, and the output is a
+    view into `work`: a caller copies it out before the next call."""
+    i = 0
+    for w, b in layers:
+        h = u
+        if scale != 1.0:
+            i = 1 - i
+            h = _kernels.silu_of_half(u, work_array(work[i], u.shape))
+        i = 1 - i
+        u = np.matmul(h, w.T, out=work_array(work[i], (len(h), w.shape[0])))
+        u += b
+    return u
+
+
+def work_array(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leading part of a flat work array as a C-ordered array of `shape`."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:

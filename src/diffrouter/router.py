@@ -8,11 +8,15 @@ label is an int for the whole batch or a (B,) int array of per-row labels.
 
 A reverse chain or a refine loop queries the predictor many times with the
 same x_src and labels. `condition` binds a predictor to them once and returns
-f(x_t, t). For the router it precomputes layer 0's constant part, the x_src,
-label and bias block (B, H) and the time block of every step (T + 1, H), so
-each step multiplies only the d columns of x_t (`predict_noise`). Training
-builds the full input (`backbone_input`), because the backward pass needs it
-for layer 0's weight gradient.
+f(x_t, t). For the router it prepares a `Binding`: layer 0's constant part,
+the x_src, label and bias block (B, H) and the time block of every step
+(T + 1, H), so each step multiplies only the d columns of x_t; copies of
+those columns and of every later layer, so the binding is a snapshot of the
+parameters; and a workspace of two (B, H) arrays, made on the first call,
+into which each step writes every layer (`predict_noise`). With SiLU the
+copies and blocks are halved (see netcore.forward_inplace). Training builds
+the full input (`backbone_input`), because the backward pass needs it for
+layer 0's weight gradient.
 
 The backbone runs in the dtype of its weights. Training and a loaded
 checkpoint are float32 (see train.py); float64 parameters serve the gradient
@@ -167,13 +171,43 @@ def backbone_input(params: RouterParams, x_t, t, x_src, tgt, src) -> np.ndarray:
     return inp
 
 
+@dataclass(eq=False)
+class Binding:
+    """What `condition` prepares for one RouterParams, x_src and (tgt, src):
+    every array a query reads, copied at bind time, in the dtype of the
+    weights. With SiLU, layer 0's parts and the hidden layers are halved (see
+    `netcore.forward_inplace`). `params` is read for its shape only."""
+
+    params: RouterParams
+    w_xt: np.ndarray       # (H, d) x_t columns of layer 0, a view of a copy of it
+    base: np.ndarray       # (B, H), or (1, H) for one source vector: x_src, labels, bias
+    time_rows: np.ndarray  # (T + 1, H): row t is the time columns' pre-activation
+    scale: float           # 0.5 with SiLU, else 1: see netcore.forward_only_layers
+    layers: list           # the layers after layer 0
+    work: list = field(default_factory=list)  # two flat (B * widest,) arrays
+    widest: int = field(init=False)
+
+    def __post_init__(self):
+        self.widest = max(w.shape[0] for w in [self.w_xt, *(w for w, _ in self.layers)])
+
+    def workspace(self, rows: int) -> list[np.ndarray]:
+        """The two work arrays, made on the first call and again when a
+        call has more rows than they hold."""
+        if not self.work or self.work[0].size < rows * self.widest:
+            self.work = [np.empty(rows * self.widest, self.w_xt.dtype) for _ in range(2)]
+        return self.work
+
+
 def condition(predictor, x_src, tgt, src):
     """Bind a predictor to the source sample and the (tgt, src) labels that a
     reverse chain or a refine loop keeps fixed; returns f(x_t, t) -> noise
     estimate. For RouterParams the labels and x_src's width are checked here,
-    once, and layer 0's constant part is computed once; each call of f is one
-    `predict_noise`. Any other predictor(x_t, t, x_src, tgt, src), such as the
-    oracle, is bound by closing over its arguments."""
+    once, and a `Binding` is prepared: layer 0's constant part and copies of
+    every later layer. A binding is a snapshot of the parameters at bind
+    time: an in-place change to `params.flat` afterwards (a training step)
+    does not reach it, so bind again to query the changed network. Each call
+    of f is one `predict_noise`. Any other predictor(x_t, t, x_src, tgt,
+    src), such as the oracle, is bound by closing over its arguments."""
     if not isinstance(predictor, RouterParams):
         return lambda x_t, t: predictor(x_t, t, x_src, tgt, src)
     params = predictor
@@ -188,26 +222,37 @@ def condition(predictor, x_src, tgt, src):
             + (emb @ w0[:, lo:lo + E].T)[tgt] + (emb @ w0[:, lo + E:].T)[src])
     table = time_table(params.n_timesteps, params.time_dim).astype(w0.dtype)
     time_rows = table @ w0[:, 2 * d:lo].T
-    return lambda x_t, t: predict_noise(params, x_t, t, base, time_rows)
+    scale, layers = netcore.forward_only_layers(params.backbone)
+    base *= scale
+    time_rows *= scale
+    # x_t's columns as a view of a whole copy of w0, with w0's strides: a
+    # contiguous (H, d) copy sends a 1-row float32 product down another BLAS
+    # path, which rounds differently
+    bound = Binding(params, (w0 * scale)[:, :d], base, time_rows, scale, layers)
+    return lambda x_t, t: predict_noise(bound, x_t, t)
 
 
-def predict_noise(params: RouterParams, x_t, t, base: np.ndarray,
-                  time_rows: np.ndarray) -> np.ndarray:
-    """Noise estimate for x_t at step t under a binding made by `condition`,
-    whose constant part of layer 0 is given in the dtype of the weights:
-    `base` is the pre-activation of the x_src and embedding columns plus the
-    bias, (B, H), or (1, H) for one source vector; row t of `time_rows`,
-    (T + 1, H), is the pre-activation of the time columns. Accepts a single
-    vector or a (B, d) batch; t may be a scalar or a per-row array. Returns
-    float64."""
+def predict_noise(bound: Binding, x_t, t) -> np.ndarray:
+    """Noise estimate for x_t at step t under a binding made by `condition`.
+    Accepts a single vector or a (B, d) batch; t may be a scalar or a
+    per-row array. Layer 0's pre-activation, x_t times its columns plus the
+    bound block plus row t of the time block, goes into the binding's
+    workspace, and `netcore.forward_inplace` runs the later layers there.
+    Returns a new float64 array."""
     squeeze = np.ndim(x_t) == 1
-    w0 = params.backbone.weights[0]
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=w0.dtype))
-    _check_width(params, x_t)
-    _check_steps(params, t)
-    z = _kernels.affine(x_t, w0[:, :params.data_dim], base)
-    z += time_rows[t]
-    out = netcore.forward_from_layer0(params.backbone, z, None).astype(np.float64, copy=False)
+    x_t = np.atleast_2d(np.asarray(x_t, dtype=bound.w_xt.dtype))
+    _check_width(bound.params, x_t)
+    _check_steps(bound.params, t)
+    work = bound.workspace(len(x_t))
+    u = netcore.work_array(work[0], (len(x_t), bound.w_xt.shape[0]))
+    np.matmul(x_t, bound.w_xt.T, out=u)
+    u += bound.base
+    if np.ndim(t):
+        u += np.take(bound.time_rows, t, axis=0, out=netcore.work_array(work[1], u.shape),
+                     mode="clip")  # t is checked; "raise" would buffer `out`
+    else:
+        u += bound.time_rows[t]
+    out = np.array(netcore.forward_inplace(u, bound.layers, bound.scale, work), np.float64)
     return out[0] if squeeze else out
 
 

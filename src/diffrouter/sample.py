@@ -5,7 +5,10 @@ the learned router and the analytic oracle satisfy this. A reverse chain keeps
 x_src and the labels fixed, so `sample_chain_*` binds the predictor to them
 once per chain (`router.condition`), and each reverse step takes the bound
 f(x_t, t). For the router that binding computes layer 0's source, label and
-time blocks once per chain instead of once per step. Indirect translation
+time blocks once per chain instead of once per step, copies the later
+layers, and holds a workspace that every step of the chain writes its layers
+into; the chain's binding, and so its copies and workspace, is freed with
+the chain. Indirect translation
 chains one full reverse pass per tree hop, feeding each hop's output into the
 next hop's conditioning, and so binds once per hop. Direct translation is a
 one-hop route: a single reverse pass with the requested (src, tgt) labels.

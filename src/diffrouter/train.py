@@ -29,7 +29,9 @@ population before the teacher is queried. The refine iterations and that
 final query share t, x_c and the labels, so the step binds the teacher to
 x_c and the labels once (`router.condition`) and `tweedie_refine` takes the
 bound predictor(x, t): the teacher's layer-0 source, label and time blocks
-are computed once per step, not once per query.
+and its layer copies are made once per step, not once per query. From
+scratch the teacher is the live parameters, and its binding is a snapshot of
+them at the start of the step.
 """
 
 from dataclasses import dataclass, field, replace

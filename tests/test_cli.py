@@ -554,11 +554,11 @@ def test_eval_binds_once_per_hop_and_builds_no_full_input(trained_run, tmp_path,
     conds, calls, built = [], [], []
     predict, build = router.predict_noise, router.backbone_input
 
-    def spy_predict(params, x_t, t, base, time_rows):
-        if not any(b is base for b in conds):
-            conds.append(base)
+    def spy_predict(bound, x_t, t):
+        if not any(b is bound for b in conds):
+            conds.append(bound)
         calls.append(t)
-        return predict(params, x_t, t, base, time_rows)
+        return predict(bound, x_t, t)
 
     def spy_build(*args):
         built.append(args)

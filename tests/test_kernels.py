@@ -15,9 +15,10 @@ from diffrouter.metrics import mmd_rbf
 # kernels: in-place evaluation, dtype preservation, overflow limits
 
 def test_numpy_kernels_match_plain_expressions_bitwise(rng):
-    """silu returns its output and the gate 1 + tanh(z / 2), and silu_grad
-    forms the derivative from that gate, each the plain expression to the bit
-    in float32 and float64."""
+    """silu returns its output and the gate 1 + tanh(z / 2), silu_grad
+    forms the derivative from that gate, and silu_of_half(u) writes silu(2 u)
+    into the array it is given, each the plain expression to the bit in
+    float32 and float64."""
     for dtype in (np.float32, np.float64):
         z = (30.0 * rng.standard_normal((64, 32))).astype(dtype)
         u = z / 2
@@ -27,6 +28,9 @@ def test_numpy_kernels_match_plain_expressions_bitwise(rng):
         assert np.array_equal(h, u * (1.0 + np.tanh(u)))
         assert np.array_equal(q, 1.0 + np.tanh(u))
         assert np.array_equal(_kernels.silu_grad(z, q), s * (1.0 + z * (1.0 - s)))
+        out = np.empty_like(u)
+        assert _kernels.silu_of_half(u, out) is out
+        assert np.array_equal(out, _kernels.silu(2 * u)[0])
     h = rng.standard_normal((16, 10))
     w = rng.standard_normal((7, 10))
     b = rng.standard_normal(7)

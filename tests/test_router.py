@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diffrouter import netcore, router
+from diffrouter import _kernels, netcore, router
 from diffrouter.router import (backbone_input, backward, condition, forward_cached,
                                freeze, init_router, load_checkpoint, save_checkpoint,
                                time_features, topology_hash)
@@ -124,6 +125,114 @@ def test_bound_predictor_matches_full_input_forward(dtype, d, per_row_t, per_row
         one = condition(params, x_src[0], tgt, src)
         assert close(one(x_t[0], t), want[0])
         assert close(one(x_t, t), _full_input_forward(params, x_t, t, x_src[0], tgt, src))
+
+
+def _unhalved_bound_forward(params, x_t, t, x_src, tgt, src):
+    """The layer-0 split with a new array per layer and no halving: x_t
+    times its columns of w0 plus the bound block, plus row t of the time
+    block, then `_kernels.silu` and `_kernels.affine` layer by layer."""
+    net = params.backbone
+    w0, b0 = net.weights[0], net.biases[0]
+    d, E = params.data_dim, params.emb_dim
+    lo = 2 * d + params.time_dim
+    x_src = np.atleast_2d(np.asarray(x_src, dtype=w0.dtype))
+    emb = params.domain_emb
+    base = (_kernels.affine(x_src, w0[:, d:2 * d], b0)
+            + (emb @ w0[:, lo:lo + E].T)[tgt] + (emb @ w0[:, lo + E:].T)[src])
+    time_rows = router.time_table(params.n_timesteps, params.time_dim).astype(w0.dtype)
+    time_rows = time_rows @ w0[:, 2 * d:lo].T
+    z = _kernels.affine(np.atleast_2d(np.asarray(x_t, dtype=w0.dtype)), w0[:, :d], base)
+    z += time_rows[t]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        h = _kernels.silu(z)[0] if net.activation == "silu" else z
+        z = _kernels.affine(h, w, b)
+    return z.astype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("per_row_t", [False, True])
+@pytest.mark.parametrize("per_row_labels", [False, True])
+@pytest.mark.parametrize("activation", ["silu", "identity"])
+def test_bound_predictor_matches_the_unhalved_split_bitwise(dtype, d, per_row_t,
+                                                            per_row_labels, activation):
+    """The halved in-place forward pass equals the unhalved split to the bit
+    at 1 (a single source vector), 40, 128 and 1000 rows, and a binding's
+    second call equals its first."""
+    rng = np.random.default_rng(d)
+    params = init_router(d, 4, 50, [32, 32], rng, activation=activation)
+    params = replace(params, flat=params.flat.astype(dtype))
+    for B in (1, 40, 128, 1000):
+        x_t, x_src = rng.standard_normal((B, d)), rng.standard_normal((B, d))
+        t = rng.integers(0, 51, size=B) if per_row_t else 17
+        tgt, src = ((rng.integers(0, 4, size=B), rng.integers(0, 4, size=B))
+                    if per_row_labels else (3, 1))
+        x_src = x_src[0] if B == 1 else x_src
+        want = _unhalved_bound_forward(params, x_t, t, x_src, tgt, src)
+        bound = condition(params, x_src, tgt, src)
+        assert np.array_equal(bound(x_t, t), want)
+        assert np.array_equal(bound(x_t, t), want)
+        if B == 1:
+            assert np.array_equal(bound(x_t[0], t), want[0])
+
+
+def test_binding_is_a_snapshot_of_the_parameters(rng):
+    """A binding copies every array it reads when it is made: after an
+    in-place change to params.flat it still answers as the network it was
+    bound to, bit for bit."""
+    params = init_router(2, 3, 50, [16, 16], rng)
+    params = replace(params, flat=params.flat.astype(np.float32))
+    x_t, x_src = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+    before = freeze(params)
+    bound = condition(params, x_src, 1, 0)
+    params.flat += 0.05
+    got = bound(x_t, 9)
+    assert np.array_equal(got, condition(before, x_src, 1, 0)(x_t, 9))
+    assert not np.array_equal(got, condition(freeze(params), x_src, 1, 0)(x_t, 9))
+
+
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_warm_binding_call_allocates_less_than_one_hidden_array(per_row_t):
+    """A warm binding's call on 1000 rows (hidden 128 x 3, float32) writes
+    its layers into the binding's workspace: its traced allocation peak stays
+    below one (B, H) array. Its result is a new array that a later call does
+    not overwrite."""
+    rng = np.random.default_rng(1)
+    params = init_router(2, 5, 100, [128, 128, 128], rng)
+    params = replace(params, flat=params.flat.astype(np.float32))
+    B = 1000
+    x_src = rng.standard_normal((B, 2))
+    t = rng.integers(0, 101, size=B) if per_row_t else 40
+    bound = condition(params, x_src, 2, 1)
+    first = bound(rng.standard_normal((B, 2)), t)
+    kept = first.copy()
+    x_t = rng.standard_normal((B, 2))
+    tracemalloc.start()
+    try:
+        second = bound(x_t, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * 128 * np.dtype(np.float32).itemsize
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+
+def test_binding_serves_calls_of_other_row_counts(params, rng):
+    """The workspace follows the call: a binding to one source vector serves
+    batches of growing and shrinking size, each equal to a fresh binding's
+    answer. A batch binding refuses x_t of another row count and then still
+    answers its own."""
+    x_src = rng.standard_normal((40, 2))
+    one = condition(params, x_src[0], 1, 0)
+    for B in (40, 1000, 7, 1200):
+        x_t = rng.standard_normal((B, 2))
+        assert np.array_equal(one(x_t, 5), condition(params, x_src[0], 1, 0)(x_t, 5))
+    batch = condition(params, x_src, 1, 0)
+    for B in (1, 39):
+        with pytest.raises(ValueError):
+            batch(rng.standard_normal((B, 2)), 5)
+    x_t = rng.standard_normal((40, 2))
+    assert np.array_equal(batch(x_t, 5), condition(params, x_src, 1, 0)(x_t, 5))
 
 
 def test_bound_predictor_keeps_the_checks(params, rng):

@@ -208,11 +208,11 @@ def test_each_hop_binds_the_router_once(small_star, rng, monkeypatch, bridge):
     conds, calls = [], []
     predict = router.predict_noise
 
-    def spy(p, x_t, t, base, time_rows):
-        if not any(b is base for b in conds):
-            conds.append(base)
+    def spy(bound, x_t, t):
+        if not any(b is bound for b in conds):
+            conds.append(bound)
         calls.append(t)
-        return predict(p, x_t, t, base, time_rows)
+        return predict(bound, x_t, t)
 
     monkeypatch.setattr(router, "predict_noise", spy)
     req = TranslationRequest(x_src=tuples.domain(1)[:5], src=1, tgt=2)

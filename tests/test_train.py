@@ -220,12 +220,12 @@ def test_unpaired_step_binds_the_teacher_once(setup, sch100, rng, monkeypatch):
     conds, rows, built = [], [], []
     predict, build = router.predict_noise, router.backbone_input
 
-    def spy_predict(p, x_t, t, base, time_rows):
-        assert p is ref
-        if not any(b is base for b in conds):
-            conds.append(base)
+    def spy_predict(bound, x_t, t):
+        assert bound.params is ref
+        if not any(b is bound for b in conds):
+            conds.append(bound)
         rows.append(len(x_t))
-        return predict(p, x_t, t, base, time_rows)
+        return predict(bound, x_t, t)
 
     def spy_build(p, *args):
         built.append(p)
