@@ -72,13 +72,14 @@ def read_blocks(path, magic: str) -> tuple[dict, list[np.ndarray]]:
     return header, arrays
 
 
-def read_header(path, magic: str) -> dict:
-    """The header of a block file, read without its blocks; raises like read_blocks."""
+def read_header(path, magic: str) -> tuple[dict, int]:
+    """(header, offset of the first block) of a block file, read without its
+    blocks; raises like read_blocks."""
     with open(path, "rb") as fh:
         head = b""
         while _SEP not in head and (chunk := fh.read(4096)):
             head += chunk
-    return _parse_header(path, magic, head)[0]
+    return _parse_header(path, magic, head)
 
 
 def _parse_header(path, magic: str, blob: bytes) -> tuple[dict, int]:
@@ -99,6 +100,17 @@ def check_sizes(path, arrays, sizes) -> None:
     if got != list(sizes):
         raise ValueError(f"{path}: block sizes {got} do not match the header's "
                          f"{list(sizes)}; the file is cut short or corrupt")
+
+
+def check_file_size(path, offset: int, sizes) -> None:
+    """Raise a one-line ValueError naming `path` unless the file is exactly as
+    long as a header of `offset` bytes followed by blocks of `sizes` values:
+    one stat, so a file can be refused as cut short without reading it."""
+    want = offset + sum(4 + 4 * size for size in sizes)
+    have = os.stat(path).st_size
+    if have != want:
+        raise ValueError(f"{path}: {have} bytes where the header's blocks {list(sizes)} "
+                         f"take {want}; the file is cut short or corrupt")
 
 
 @contextmanager

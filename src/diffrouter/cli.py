@@ -323,27 +323,32 @@ def _check_match(path: Path, what: str, checks) -> None:
             raise CliError(f"{path}: {what} {key}={have} does not match this run's {want}")
 
 
-def load_run_data(cfg: ExperimentConfig, run: Path):
-    """Load datasets written by gen-data; raises if they are missing or were
-    made for another edge, K, d or run configuration. The reading stages call
-    this before they write anything into `run`."""
-    def check(path, what, checks):  # then the config hash gen-data wrote in the header
-        have = _blockfile.read_header(path, datagen.DATASET_MAGIC).get("config_hash")
-        _check_match(path, what, [*checks, ("config_hash", have, config_hash(cfg))])
-
+def load_run_data(cfg: ExperimentConfig, run: Path, *, edges: bool = False,
+                  eval_tuples: bool = False):
+    """(topology, datasets, eval tuples, instance) of the run, as gen-data
+    wrote them, in two steps. First one header pass over every dataset file,
+    the edge files then eval.bin: each must exist and be made for this run's
+    edge, K, d and config hash, and a file this call does not load must be as
+    long as its header says. Then the arrays of the files the stage reads:
+    the edge datasets if `edges`, the eval tuples if `eval_tuples`; the other
+    comes back None. Raises a one-line error naming the first file refused.
+    The reading stages call this before they write anything into `run`."""
+    want = config_hash(cfg)
     topo = build_instance_topology(cfg)
-    datasets = []
-    for a, b in topo.edges:
-        path = run / _edge_file(a, b)
+    edge_paths = [run / _edge_file(a, b) for a, b in topo.edges]
+    for (a, b), path in zip(topo.edges, edge_paths):
         if not path.exists():
             raise CliError(f"missing dataset {path}; run gen-data first")
-        ds = datagen.load_paired_dataset(path)
-        check(path, "dataset", (("edge", "{}-{}".format(*ds.edge), f"{a}-{b}"),
-                                ("d", ds.x_a.shape[1], cfg.d)))
-        datasets.append(ds)
-    path = run / "datasets/eval.bin"
-    tuples = datagen.load_eval_tuples(path)
-    check(path, "eval tuples", zip(("K", "d"), tuples.samples.shape[1:], (cfg.K, cfg.d)))
+        header, edge, d = datagen.read_paired_header(path, check_size=not edges)
+        _check_match(path, "dataset", (("edge", "{}-{}".format(*edge), f"{a}-{b}"),
+                                       ("d", d, cfg.d),
+                                       ("config_hash", header.get("config_hash"), want)))
+    eval_path = run / "datasets/eval.bin"
+    header, K, d = datagen.read_eval_header(eval_path, check_size=not eval_tuples)
+    _check_match(eval_path, "eval tuples", (("K", K, cfg.K), ("d", d, cfg.d),
+                                            ("config_hash", header.get("config_hash"), want)))
+    datasets = [datagen.load_paired_dataset(path) for path in edge_paths] if edges else None
+    tuples = datagen.load_eval_tuples(eval_path) if eval_tuples else None
     path = run / "datasets/instance.json"
     inst = None
     if path.exists():
@@ -502,7 +507,7 @@ def _train_config(cfg: ExperimentConfig, regime: str, steps: int, seed_key: str,
 def _train_common(args, regime: str, ckpt_name: str, steps_field: str) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
-    topo, datasets, _tuples, _inst = load_run_data(cfg, run)
+    topo, datasets, _tuples, _inst = load_run_data(cfg, run, edges=True)
     sch = build_schedule(cfg)
     init_params = None
     if regime == "finetune":
@@ -545,6 +550,8 @@ def _load_predictor(run: Path, cfg: ExperimentConfig, checkpoint: str | None,
     (the header's `topology` hash of the edges) are the run's."""
     path = Path(checkpoint) if checkpoint else run / "checkpoints" / default
     if not path.exists():
+        if checkpoint:  # a file the user named, which no stage of the run makes
+            raise CliError(f"checkpoint not found: {path}")
         stage = {"paired.ckpt": "train-paired", "direct.ckpt": "finetune-direct"}[default]
         raise CliError(f"checkpoint not found: {path}; run {stage} first")
     params, header = router_mod.load_checkpoint(path)
@@ -565,7 +572,7 @@ def _mode_checkpoint(mode: str) -> str:
 def cmd_translate(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
-    topo, _datasets, tuples, inst = load_run_data(cfg, run)
+    topo, _datasets, tuples, inst = load_run_data(cfg, run, eval_tuples=True)
     if args.n < 0:
         raise CliError(f"--n must be >= 0 (0: eval.n_eval), got {args.n}")
     eta = cfg.eta if args.eta is None else args.eta
@@ -607,7 +614,7 @@ def cmd_translate(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
-    topo, _datasets, tuples, inst = load_run_data(cfg, run)
+    topo, _datasets, tuples, inst = load_run_data(cfg, run, eval_tuples=True)
     params = _load_predictor(run, cfg, args.checkpoint, _mode_checkpoint(args.mode))
     sch = build_schedule(cfg)
     records = metrics.evaluate_checkpoint(
@@ -628,7 +635,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.override)
     run = run_path(cfg)
-    topo, datasets, tuples, inst = load_run_data(cfg, run)
+    topo, datasets, tuples, inst = load_run_data(cfg, run, edges=True, eval_tuples=True)
     sch = build_schedule(cfg)
     init_params = _load_predictor(run, cfg, None, "paired.ckpt")
 

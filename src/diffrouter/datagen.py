@@ -463,12 +463,30 @@ def save_paired_dataset(path, ds: PairedDataset, meta: dict) -> None:
                             (ds.x_a, ds.x_b, ds.latent_indices))
 
 
-def load_paired_dataset(path) -> PairedDataset:
-    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+def _paired_shape(path, header: dict) -> tuple[tuple[int, int], int, int, tuple]:
+    """(edge, n, d, values per block) that a paired-dataset header declares."""
     with _blockfile.header_fields(path):
         a, b = (int(v) for v in header["edge"].split(","))
         n, d = int(header["n"]), int(header["d"])
-    _blockfile.check_sizes(path, arrays, (n * d, n * d, n))
+    return (a, b), n, d, (n * d, n * d, n)
+
+
+def read_paired_header(path, check_size: bool = True) -> tuple[dict, tuple[int, int], int]:
+    """(header, edge, d) of a paired-dataset file, read without its blocks.
+    Raises a one-line ValueError naming `path` if the magic or a shape field
+    is wrong and, with `check_size`, if the file is not as long as its
+    header's n and d make it: one stat refuses a file that was cut short."""
+    header, offset = _blockfile.read_header(path, DATASET_MAGIC)
+    edge, _n, d, sizes = _paired_shape(path, header)
+    if check_size:
+        _blockfile.check_file_size(path, offset, sizes)
+    return header, edge, d
+
+
+def load_paired_dataset(path) -> PairedDataset:
+    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+    (a, b), n, d, sizes = _paired_shape(path, header)
+    _blockfile.check_sizes(path, arrays, sizes)
     return PairedDataset(edge=(a, b), x_a=arrays[0].astype(np.float64).reshape(n, d),
                          x_b=arrays[1].astype(np.float64).reshape(n, d),
                          latent_indices=arrays[2].astype(np.int64))
@@ -484,11 +502,27 @@ def save_eval_tuples(path, tuples: EvalTuples, meta: dict) -> None:
                             (tuples.samples, tuples.latent_indices))
 
 
-def load_eval_tuples(path) -> EvalTuples:
-    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+def _eval_shape(path, header: dict) -> tuple[int, int, int, tuple]:
+    """(M, K, d, values per block) that an eval-tuples header declares."""
     with _blockfile.header_fields(path):
         M, K, d = int(header["m"]), int(header["k"]), int(header["d"])
-    _blockfile.check_sizes(path, arrays, (M * K * d, M))
+    return M, K, d, (M * K * d, M)
+
+
+def read_eval_header(path, check_size: bool = True) -> tuple[dict, int, int]:
+    """(header, K, d) of an eval-tuples file, read without its blocks; raises
+    like read_paired_header, the length checked against m, k and d."""
+    header, offset = _blockfile.read_header(path, DATASET_MAGIC)
+    _M, K, d, sizes = _eval_shape(path, header)
+    if check_size:
+        _blockfile.check_file_size(path, offset, sizes)
+    return header, K, d
+
+
+def load_eval_tuples(path) -> EvalTuples:
+    header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
+    M, K, d, sizes = _eval_shape(path, header)
+    _blockfile.check_sizes(path, arrays, sizes)
     return EvalTuples(samples=arrays[0].astype(np.float64).reshape(M, K, d),
                       latent_indices=arrays[1].astype(np.int64))
 

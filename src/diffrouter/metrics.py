@@ -81,9 +81,13 @@ def _median_distance(X: np.ndarray) -> float:
     one or two squared distances get a square root: sqrt is monotone, so the
     result is the same to the bit. A NaN distance gives NaN, as in np.median."""
     sq = sq_dists(X, X)[~np.tri(len(X), dtype=bool)]  # the pairs i < j, row by row
-    lo, hi = (sq.size - 1) // 2, sq.size // 2  # the middle one or two
-    sq.partition([lo, hi, -1])  # a NaN sorts to the end
-    return float("nan") if np.isnan(sq[-1]) else float(np.mean(np.sqrt(sq[lo:hi + 1])))
+    lo = (sq.size - 1) // 2  # the lower middle one
+    sq.partition(lo)  # no value after sq[lo] is below it, and a NaN sorts after it
+    above = sq[lo + 1:].min(initial=np.inf)  # the upper middle one, or NaN
+    if np.isnan(above):
+        return float("nan")
+    mid = sq[lo:lo + 1] if sq.size % 2 else np.array([sq[lo], above])
+    return float(np.mean(np.sqrt(mid)))
 
 
 def oracle_self_distance(inst: GaussianInstance, src: int, tgt: int, x_src: np.ndarray,

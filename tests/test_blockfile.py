@@ -171,3 +171,23 @@ def test_loaders_check_blocks_against_header(tmp_path):
         datagen.load_paired_dataset(path)
     with pytest.raises(ValueError, match="malformed header field 'm'"):
         datagen.load_eval_tuples(path)
+
+
+@pytest.mark.parametrize("cut", [lambda b: b[:-1], lambda b: b + b"\x00\x00"],
+                         ids=["cut-short", "trailing-bytes"])
+def test_header_readers_check_the_file_length_by_stat(tmp_path, cut):
+    """The header readers return what the run checks without reading a block;
+    a file of another length than its header implies is refused only with
+    the size check, as one line naming it."""
+    _fixed_datasets(tmp_path)
+    edge, evals = tmp_path / "edge_1-0.bin", tmp_path / "eval.bin"
+    header, pair, d = datagen.read_paired_header(edge)
+    assert (header["config_hash"], pair, d) == ("0123abcd", (1, 0), 2)
+    header, K, d = datagen.read_eval_header(evals)
+    assert (header["config_hash"], K, d) == ("0123abcd", 3, 2)
+    for path, read in ((edge, datagen.read_paired_header), (evals, datagen.read_eval_header)):
+        path.write_bytes(cut(path.read_bytes()))
+        assert read(path, check_size=False)[0]["config_hash"] == "0123abcd"
+        with pytest.raises(ValueError, match="the file is cut short or corrupt") as info:
+            read(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)

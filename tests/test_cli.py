@@ -717,6 +717,22 @@ def test_checkpoint_of_another_run_is_one_line_error(trained_run, tmp_path, monk
     assert f"checkpoint {have} does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint"],
+    ["translate", "--src", "1", "--tgt", "2", "--checkpoint"],
+    ["finetune-direct", "--init-checkpoint"],
+], ids=lambda argv: argv[0])
+def test_missing_named_checkpoint_is_refused_without_a_stage_hint(
+        trained_run, tmp_path, monkeypatch, capsys, argv):
+    """A checkpoint path the user named is not one a stage of the run makes,
+    so the error names the path and no stage to run first."""
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+    path = tmp_path / "nope.ckpt"
+    assert main([*argv, str(path), "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: CliError: checkpoint not found: {path}\n"
+
+
 @pytest.mark.parametrize("override, key, have, want", [
     ("instance.k=4", "K", 3, 4),
     ("instance.d=3", "data_dim", 2, 3),
@@ -786,8 +802,9 @@ def test_datasets_of_a_run_with_another_config_are_refused(workspace, capsys, fi
         (run / rel).write_bytes((source / rel).read_bytes())
     capsys.readouterr()
     what = "eval tuples" if files[0].endswith("eval.bin") else "dataset"
-    for stage in ("train-paired", "eval"):
-        assert main([stage, *flags[0]]) == 1, stage
+    for stage in (["train-paired"], ["train-scratch"], ["eval"],
+                  ["translate", "--src", "1", "--tgt", "2"]):
+        assert main([*stage, *flags[0]]) == 1, stage
         assert capsys.readouterr().err == (
             f"error: CliError: {run / files[0]}: {what} config_hash={config_hash(cfgs[1])} "
             f"does not match this run's {config_hash(cfgs[0])}\n")
@@ -827,6 +844,56 @@ def test_truncated_eval_tuples_is_one_line_error(workspace, capsys):
     path.write_bytes(path.read_bytes()[:-10])
     assert main(["eval", "--config", cfg_path]) == 1
     assert "runs past the end" in _one_line_error(capsys, path)
+
+
+@pytest.mark.parametrize("stage, expect", [
+    ("eval", "bytes where the header's blocks"),  # the header pass's size check
+    ("train-paired", "runs past the end"),  # the block read of the file it loads
+], ids=["eval", "train-paired"])
+def test_truncated_edge_file_is_one_line_error(workspace, capsys, stage, expect):
+    """A cut-short edge file is refused as one line naming it, by a stage that
+    loads its arrays and by one that only checks its header."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    path = _run(root, load_config(cfg_path)) / "datasets/edge_2-0.bin"
+    path.write_bytes(path.read_bytes()[:-10])
+    assert main([stage, "--config", cfg_path]) == 1
+    assert expect in _one_line_error(capsys, path)
+
+
+# what each stage loads the arrays of, in order
+STAGE_LOADS = [
+    (["train-paired"], ["edge_1-0.bin", "edge_2-0.bin"]),
+    (["finetune-direct"], ["edge_1-0.bin", "edge_2-0.bin"]),
+    (["train-scratch"], ["edge_1-0.bin", "edge_2-0.bin"]),
+    (["translate", "--src", "1", "--tgt", "2"], ["eval.bin"]),
+    (["eval"], ["eval.bin"]),
+    (["eval", "--mode", "direct"], ["eval.bin"]),
+    (["ablate", "lambda2"], ["edge_1-0.bin", "edge_2-0.bin", "eval.bin"]),
+]
+
+
+def test_each_stage_loads_only_the_dataset_arrays_it_reads(workspace, monkeypatch):
+    """Training loads the K-1 edge files and not eval.bin; eval and translate
+    load eval.bin and no edge file; ablate, which trains and scores, loads
+    both."""
+    root, cfg_path = workspace
+    flags = ["--config", cfg_path]
+    for ov in ("train.steps=20", "train.finetune_steps=10", "train.scratch_steps=10",
+               "eval.n_eval=20"):
+        flags += ["--override", ov]
+    assert main(["gen-data", *flags]) == 0
+    loaded = []
+    for name in ("load_paired_dataset", "load_eval_tuples"):
+        def spy(path, load=getattr(datagen, name)):
+            loaded.append(Path(path).name)
+            return load(path)
+        monkeypatch.setattr(datagen, name, spy)
+    for argv, expect in STAGE_LOADS:
+        loaded.clear()
+        assert main([*argv, *flags]) == 0, argv
+        assert loaded == expect, argv
 
 
 @pytest.mark.parametrize("stage", ["train-paired", "train-scratch"])

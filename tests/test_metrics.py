@@ -137,14 +137,19 @@ def _median_distance_sqrt_all(X):
 def test_mmd_median_bandwidth_matches_every_square_root_bitwise(rng, n_a, n_b):
     """Pooled sizes 6, 7, 500, 110 and 4 give odd (15, 21, 5995) and even
     (124750, 6) pair counts; the bandwidth and the MMD are the same to the bit
-    as with the square root of every pair."""
+    as with the square root of every pair. So they are when every other row
+    of A and of B repeats its first row, which ties many distances, the
+    middle ones among them."""
     for _ in range(3):
         A = rng.standard_normal((n_a, 2)) * 10.0 ** rng.uniform(-2, 2)
         B = rng.standard_normal((n_b, 2)) + 0.7
-        pooled = np.concatenate([A[:250], B[:250]])
-        h = _median_distance_sqrt_all(pooled)
-        assert metrics._median_distance(pooled) == h
-        assert mmd_rbf(A, B) == mmd_rbf(A, B, bandwidth=h)
+        for tied in (False, True):
+            if tied:
+                A[1::2], B[1::2] = A[0], B[0]
+            pooled = np.concatenate([A[:250], B[:250]])
+            h = _median_distance_sqrt_all(pooled)
+            assert metrics._median_distance(pooled) == h
+            assert mmd_rbf(A, B) == mmd_rbf(A, B, bandwidth=h)
 
 
 def test_mmd_median_bandwidth_of_a_nan_distance_is_nan():
