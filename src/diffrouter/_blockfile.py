@@ -51,9 +51,10 @@ def read_blocks(path, magic: str) -> tuple[dict, list[np.ndarray]]:
     """(header of str values, arrays) of a file written by write_blocks.
 
     The arrays are read-only little-endian float32 views of the file's bytes;
-    callers cast them. Raises a one-line ValueError naming `path` if the
-    magic is wrong, the separator is missing, a block runs past the end of
-    the file, or bytes too few for a block count trail the last block."""
+    a caller that needs another dtype casts them. Raises a one-line
+    ValueError naming `path` if the magic is wrong, the separator is missing,
+    a block runs past the end of the file, or bytes too few for a block count
+    trail the last block."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header, offset = _parse_header(path, magic, blob)

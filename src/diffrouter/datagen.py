@@ -484,11 +484,13 @@ def read_paired_header(path, check_size: bool = True) -> tuple[dict, tuple[int, 
 
 
 def load_paired_dataset(path) -> PairedDataset:
+    """The dataset as stored: x_a and x_b are read-only float32 views of the
+    file's blocks. Every use widens them to float64 or casts them to the
+    weights' dtype, which float32 holds exactly."""
     header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
     (a, b), n, d, sizes = _paired_shape(path, header)
     _blockfile.check_sizes(path, arrays, sizes)
-    return PairedDataset(edge=(a, b), x_a=arrays[0].astype(np.float64).reshape(n, d),
-                         x_b=arrays[1].astype(np.float64).reshape(n, d),
+    return PairedDataset(edge=(a, b), x_a=arrays[0].reshape(n, d), x_b=arrays[1].reshape(n, d),
                          latent_indices=arrays[2].astype(np.int64))
 
 
@@ -520,10 +522,12 @@ def read_eval_header(path, check_size: bool = True) -> tuple[dict, int, int]:
 
 
 def load_eval_tuples(path) -> EvalTuples:
+    """The tuples as stored: samples is a read-only float32 view of the
+    file's block, used like the arrays of `load_paired_dataset`."""
     header, arrays = _blockfile.read_blocks(path, DATASET_MAGIC)
     M, K, d, sizes = _eval_shape(path, header)
     _blockfile.check_sizes(path, arrays, sizes)
-    return EvalTuples(samples=arrays[0].astype(np.float64).reshape(M, K, d),
+    return EvalTuples(samples=arrays[0].reshape(M, K, d),
                       latent_indices=arrays[1].astype(np.int64))
 
 

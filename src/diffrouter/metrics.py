@@ -16,7 +16,7 @@ import numpy as np
 from . import datagen
 from ._kernels import mmd_terms, sq_dists
 from .datagen import EvalTuples, GaussianInstance
-from .sample import TranslationRequest, translate
+from .sample import TranslationRequest, route_path, translate
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,27 @@ class MetricsRecord:
     seed: int
 
 
+def eval_workers() -> int:
+    """How many reverse chains `evaluate_checkpoint` runs at once: the CPUs
+    this process may use divided by the BLAS thread count, which is read,
+    never set, from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+    MKL_NUM_THREADS. 1 when none is set or the first one set is not a
+    positive integer: two chains on an unpinned multi-threaded BLAS ran
+    slower than one."""
+    import os  # here, like the pool's imports: importing the module imports nothing new
+
+    value = next((os.environ[n] for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS") if n in os.environ), "")
+    try:
+        blas = int(value)
+    except ValueError:  # none set, or not a number
+        return 1
+    if blas < 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // blas)
+
+
 def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: str,
                         sch, *, inst: GaussianInstance | None = None, n_eval: int = 500,
                         seed: int = 0, steps: int = 0,
@@ -124,34 +145,95 @@ def evaluate_checkpoint(predictor, tuples: EvalTuples, topo, directions, mode: s
     gaussian-affine, held-out real targets otherwise). One record per
     direction, in order.
 
-    Every target of a source translates the same x_src, so the directions
-    share one `translate` hop cache: each (src, hop) pair runs one reverse
-    chain, K(K-1) chains for all directions of a tree, and each record is
-    the one a lone `translate` of its direction gives."""
-    records = []
+    Every target of a source translates the same x_src, so directions share
+    a `translate` hop cache: each (src, hop) pair runs one reverse chain,
+    K(K-1) chains for all directions of a tree, and each record is the one a
+    lone `translate` of its direction gives.
+
+    It runs in three phases. First, in the calling thread and in direction
+    order, each direction is validated, its reference set is drawn from the
+    one `rng`, and it joins the group of its (src, first hop), or of
+    (src, tgt) in direct mode. Two routes that leave one source by different
+    hops share no hop of a tree, so each group gets its own hop cache. Then
+    the calling thread and up to `eval_workers()` - 1 pool threads translate
+    the groups, the largest first. No lock guards the numerics: a chain owns
+    its binding, its workspace and its seeded noise stream (see `sample`), a
+    group owns its hop cache and its directions' result slots, and the rest
+    is only read; numpy releases the GIL inside matrix products and ufunc
+    loops, so chains of different groups run at once. Last, the calling
+    thread scores the translations in direction order. Scoring stays there
+    because each pool thread allocates from a malloc arena of its own, which
+    keeps about as much as the thread once used: the scoring arrays, larger
+    than a chain's, would raise the peak memory once per thread.
+
+    If a direction fails, the error raised is that of the first failing
+    direction in direction order, as a sequential loop raises it: a group
+    stops at a direction after a failure seen so far, so a group that starts
+    after a failure at an earlier direction translates nothing. Every pool
+    thread is joined before this returns or raises."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
-    hops = {}
-    for src, tgt in directions:
+    jobs, groups = [], {}
+    for index, (src, tgt) in enumerate(directions):
         x_src = tuples.domain(src)[:n_eval]
         if len(x_src) < 2:
             raise ValueError(f"no evaluation data for direction {src}->{tgt}")
         req = TranslationRequest(x_src=x_src, src=src, tgt=tgt, mode=mode,
                                  steps=steps, seed=seed)
-        result = translate(predictor, req, topo, sch, hops)
         target_aligned = tuples.domain(tgt)[:n_eval]
         if inst is not None:
             reference = datagen.sample_conditional(inst, src, tgt, x_src, rng)
         else:
             held_out = tuples.domain(tgt)[n_eval:2 * n_eval]
             reference = held_out if len(held_out) >= 2 else target_aligned
-        proj_rng = np.random.default_rng(seed + 17)
-        sw = sliced_wasserstein(result.x_tgt, reference, projections=projections,
-                                rng=proj_rng)
-        mmd = mmd_rbf(result.x_tgt[:250], reference[:250])
-        rmse = float(np.sqrt(np.mean((result.x_tgt - target_aligned) ** 2)))
+        jobs.append((req, target_aligned, reference))
+        first_hop = tgt if mode == "direct" else route_path(topo, src, tgt)[1]
+        groups.setdefault((src, first_hop), []).append(index)
+
+    results = [None] * len(jobs)
+    failures = {}  # direction index -> the error translating it raised
+    lock = threading.Lock()
+    pending = iter(sorted(groups.values(), key=len, reverse=True))
+
+    def drain():
+        while True:
+            with lock:
+                group = next(pending, None)
+            if group is None:
+                return
+            hops = {}
+            for index in group:
+                with lock:
+                    if index > min(failures, default=index):
+                        break  # a sequential loop stops at the earlier failure
+                try:
+                    results[index] = translate(predictor, jobs[index][0], topo, sch, hops)
+                except Exception as exc:  # raised in the calling thread below
+                    with lock:
+                        failures[index] = exc
+                    break
+
+    workers = min(len(groups), eval_workers())
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+
+    records = []
+    for index, (req, target_aligned, reference) in enumerate(jobs):
+        if index in failures:
+            raise failures[index]
+        x_tgt = results[index].x_tgt
+        sw = sliced_wasserstein(x_tgt, reference, projections=projections,
+                                rng=np.random.default_rng(seed + 17))
+        mmd = mmd_rbf(x_tgt[:250], reference[:250])
+        rmse = float(np.sqrt(np.mean((x_tgt - target_aligned) ** 2)))
         records.append(MetricsRecord(
-            src=src, tgt=tgt, mode=mode, sliced_w2=sw, mmd=mmd, rmse=rmse,
-            steps=result.total_steps, n_samples=len(x_src), seed=seed))
+            src=req.src, tgt=req.tgt, mode=mode, sliced_w2=sw, mmd=mmd, rmse=rmse,
+            steps=results[index].total_steps, n_samples=len(req.x_src), seed=seed))
     return records
 
 

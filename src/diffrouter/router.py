@@ -331,8 +331,9 @@ def save_checkpoint(path, params: RouterParams, extra_header: dict | None = None
 
 def load_checkpoint(path) -> tuple[RouterParams, dict]:
     """Parameters at the float32 the file stores, and the header. Raises
-    ValueError if the blocks do not match the layout the header gives, or if
-    the header's data_dim or time_dim disagrees with the shape of the arrays."""
+    ValueError if the blocks do not match the layout the header gives, if
+    the header's data_dim or time_dim disagrees with the shape of the
+    arrays, or if its kind is neither paired-only nor direct."""
     header, arrays = netcore.load_params(path)
     with _blockfile.header_fields(path):
         widths = [int(w) for w in header["widths"].split(",")]
@@ -341,6 +342,10 @@ def load_checkpoint(path) -> tuple[RouterParams, dict]:
         n_timesteps, activation = int(header["n_timesteps"]), header["activation"]
     if activation not in netcore.ACTIVATIONS:
         raise ValueError(f"{path}: unsupported activation {activation!r}")
+    kind = header.get("kind", KIND_PAIRED)
+    if kind not in (KIND_PAIRED, KIND_DIRECT):
+        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}; expected "
+                         f"{KIND_PAIRED!r} or {KIND_DIRECT!r}")
     # per layer a (out, in) weight and an (out,) bias, then the embedding table
     shapes = [s for n_in, n_out in zip(widths[:-1], widths[1:])
               for s in ((n_out, n_in), (n_out,))] + [(n_domains, emb_dim)]
@@ -348,7 +353,7 @@ def load_checkpoint(path) -> tuple[RouterParams, dict]:
     arrays = [a.reshape(s) for a, s in zip(arrays, shapes)]
     backbone = DenseNet(weights=arrays[:-1:2], biases=arrays[1:-1:2], activation=activation)
     params = RouterParams(backbone=backbone, domain_emb=arrays[-1], n_timesteps=n_timesteps,
-                          kind=header.get("kind", KIND_PAIRED))
+                          kind=kind)
     for key, value in stated.items():
         if value != getattr(params, key):
             raise ValueError(f"{path}: header {key}={value} does not match the "

@@ -21,6 +21,13 @@ one-hop route's stream is (seed, src, tgt). Requests that share x_src, seed
 and steps can share a `hops` cache, so each hop runs once; the result is the
 same with or without it.
 
+A chain owns all the state it writes: its binding (the snapshot and the
+workspace, made by the chain and freed with it), its noise generator, seeded
+by its hop, and its sample x. The predictor, the schedule and x_src are only
+read. So chains run in separate threads need no lock, as long as no `hops`
+cache is shared between threads; `metrics.evaluate_checkpoint` gives each
+group of routes it runs its own.
+
 The schedule's type picks the sampler, and its eta the reverse-step noise: a
 `DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
 """

@@ -199,16 +199,18 @@ def test_config_hash_properties(tmp_path, monkeypatch):
         "9d6e7e8187c7406782d56d42a0b476e0da55cd3becad2ca545f581e2fa82e1f6")
 
 
-def test_cli_import_does_not_load_scipy():
-    """Only the glyph family needs scipy.ndimage; starting the CLI must not
-    pay for its import."""
+def test_cli_import_does_not_load_deferred_modules():
+    """Only the glyph family needs scipy.ndimage, and only an eval needs the
+    thread pool of `metrics.evaluate_checkpoint`; starting the CLI must not
+    pay for their imports."""
     src = str(Path(cli.__file__).parents[1])
+    deferred = ["scipy.ndimage", "concurrent.futures", "multiprocessing"]
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, diffrouter.cli; print('scipy.ndimage' in sys.modules)"],
+         f"import sys, diffrouter.cli; print([m for m in {deferred} if m in sys.modules])"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_child_seed_stable_and_distinct():
@@ -653,6 +655,7 @@ def test_train_config_takes_every_shared_key(workspace, monkeypatch):
     ("activation-tanh", "unsupported activation 'tanh'"),
     ("data_dim-3", "header data_dim=3 does not match the arrays' 2"),
     ("time_dim-14", "header time_dim=14 does not match the arrays' 16"),
+    ("kind-abc", "unknown checkpoint kind 'abc'"),
 ])
 def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch,
                                               capsys, damage, expect):
@@ -672,6 +675,7 @@ def test_damaged_checkpoint_is_one_line_error(trained_run, tmp_path, monkeypatch
         # a header shape the arrays do not have
         "data_dim-3": lambda: blob.replace(b"\ndata_dim=2\n", b"\ndata_dim=3\n", 1),
         "time_dim-14": lambda: blob.replace(b"\ntime_dim=16\n", b"\ntime_dim=14\n", 1),
+        "kind-abc": lambda: blob.replace(b"\nkind=paired-only\n", b"\nkind=abc\n", 1),
     }[damage]()
     assert damaged != blob
     path = tmp_path / "damaged.ckpt"

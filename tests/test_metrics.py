@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,7 @@ from diffrouter.datagen import GaussianInstance, OracleScorePredictor
 from diffrouter.metrics import (evaluate_checkpoint, mmd_rbf,
                                 nested_vs_direct_kl, oracle_self_distance,
                                 pathwise_kl_bound_trial, sliced_wasserstein)
+from diffrouter.router import KIND_DIRECT, KIND_PAIRED, init_router
 from diffrouter.schedules import (BridgeSchedule, build_bridge_schedule,
                                   build_diffusion_schedule)
 
@@ -276,13 +283,177 @@ def test_evaluate_runs_each_hop_once(sch, monkeypatch):
     records = evaluate_checkpoint(predictor, tuples, topo, directions, "indirect", sch,
                                   inst=inst, n_eval=40, seed=11)
     assert len(chains) == len(set(chains)) == 12, len(chains)  # not one per route hop: 20
-    assert [(r.src, r.tgt) for r in records] == [(q.src, q.tgt) for q, _ in done] == directions
+    assert [(r.src, r.tgt) for r in records] == directions
+    # each direction is translated once; the groups of a pool run in their own order
+    assert sorted((q.src, q.tgt) for q, _ in done) == sorted(directions)
     for req, got in done:
         fresh = sample.translate(predictor, req, topo, sch)
         assert got.x_tgt.tobytes() == fresh.x_tgt.tobytes()
         assert [a.tobytes() for a in got.intermediates] == \
             [a.tobytes() for a in fresh.intermediates]
         assert got.total_steps == fresh.total_steps == 8 * abs(req.tgt - req.src)
+
+
+def _lone_records(predictor, tuples, topo, directions, mode, sch, inst, n_eval, seed):
+    """The records of a sequential loop that runs one lone `translate` per
+    direction: the reference for the grouped, pooled eval."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for src, tgt in directions:
+        x_src = tuples.domain(src)[:n_eval]
+        req = sample.TranslationRequest(x_src=x_src, src=src, tgt=tgt, mode=mode, seed=seed)
+        result = sample.translate(predictor, req, topo, sch)
+        out = result.x_tgt
+        target = tuples.domain(tgt)[:n_eval]
+        if inst is not None:
+            reference = datagen.sample_conditional(inst, src, tgt, x_src, rng)
+        else:
+            reference = tuples.domain(tgt)[n_eval:2 * n_eval]
+        records.append(metrics.MetricsRecord(
+            src=src, tgt=tgt, mode=mode,
+            sliced_w2=sliced_wasserstein(out, reference, rng=np.random.default_rng(seed + 17)),
+            mmd=mmd_rbf(out[:250], reference[:250]),
+            rmse=float(np.sqrt(np.mean((out - target) ** 2))),
+            steps=result.total_steps, n_samples=len(x_src), seed=seed))
+    return records
+
+
+def _float32_router(K, kind):
+    params = init_router(2, K, 8, [16, 16], np.random.default_rng(4))
+    return replace(params, flat=params.flat.astype(np.float32), kind=kind)
+
+
+EVAL_TREES = {"chain5": lambda: datagen.make_chain_instance(5, 2, 50, seed=3, M=200),
+              "star3": lambda: datagen.make_star_instance(3, 2, 50, seed=3, M=200)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("mode, which", [("indirect", "all"), ("direct", "nonedges")])
+@pytest.mark.parametrize("tree", sorted(EVAL_TREES))
+@pytest.mark.parametrize("predictor", ["router", "oracle"])
+def test_pooled_eval_matches_one_lone_translate_per_direction(
+        predictor, tree, mode, which, workers, monkeypatch):
+    """Whatever the pool size, each record equals, field by field, the one a
+    sequential loop of lone `translate`s gives, and every pool thread is
+    joined; 4 workers, more than the cores, switch threads every 10 us. The
+    router uses held-out targets as the reference, the oracle the analytic
+    conditional."""
+    topo, _, tuples, inst = EVAL_TREES[tree]()
+    sch = build_diffusion_schedule(8, eta=0.5)
+    if predictor == "router":
+        predictor, inst = _float32_router(topo.K, KIND_DIRECT), None
+    else:
+        predictor = OracleScorePredictor(inst, sch)
+    directions = topo.directions(which)
+    monkeypatch.setattr(metrics, "eval_workers", lambda: workers)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = evaluate_checkpoint(predictor, tuples, topo, directions, mode, sch, inst=inst,
+                                  n_eval=40, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert got == _lone_records(predictor, tuples, topo, directions, mode, sch, inst, 40, 5)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_eval_failure_cancels_the_groups_not_started(workers, monkeypatch):
+    """A direct eval of a paired-only checkpoint fails in every group: the
+    caller gets the error the sequential loop raises first, at most one
+    group per thread translated anything, and the threads are joined."""
+    topo, _, tuples, _ = EVAL_TREES["chain5"]()
+    sch = build_diffusion_schedule(8)
+    params = _float32_router(5, KIND_PAIRED)
+    directions = topo.directions("nonedges")
+    with pytest.raises(ValueError) as lone:
+        _lone_records(params, tuples, topo, directions, "direct", sch, None, 40, 5)
+    calls, translate = [], metrics.translate
+
+    def spy_translate(*args):
+        calls.append(args[1])
+        return translate(*args)
+
+    monkeypatch.setattr(metrics, "translate", spy_translate)
+    monkeypatch.setattr(metrics, "eval_workers", lambda: workers)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as pooled:
+        evaluate_checkpoint(params, tuples, topo, directions, "direct", sch, n_eval=40, seed=5)
+    assert threading.active_count() == threads
+    assert str(pooled.value) == str(lone.value)
+    assert 1 <= len(calls) <= workers < len(directions)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_eval_raises_the_first_failure_in_direction_order(workers, monkeypatch):
+    """On a K=5 chain the hops 2->1 and 1->0 fail. Direction 1->0 (index 4)
+    is a group of one, run last; the larger groups submitted first fail at
+    later directions (4->1, 3->1, 2->1). The sequential loop's error is
+    1->0's, and so is the pooled one's."""
+    topo, _, tuples, inst = EVAL_TREES["chain5"]()
+    sch = build_diffusion_schedule(8)
+
+    def predictor(x_t, t, x_src, tgt, src):
+        if (src, tgt) in {(1, 0), (2, 1)}:
+            raise ValueError(f"hop {src}->{tgt} fails")
+        return 0.3 * x_t - 0.2 * x_src
+
+    directions = topo.directions("all")
+    with pytest.raises(ValueError, match="hop 1->0") as lone:
+        _lone_records(predictor, tuples, topo, directions, "indirect", sch, inst, 40, 5)
+    monkeypatch.setattr(metrics, "eval_workers", lambda: workers)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as pooled:
+        evaluate_checkpoint(predictor, tuples, topo, directions, "indirect", sch, inst=inst,
+                            n_eval=40, seed=5)
+    assert threading.active_count() == threads
+    assert str(pooled.value) == str(lone.value)
+
+
+@pytest.mark.parametrize("directions, groups", [
+    ([(1, 0), (1, 2)], 1),  # both routes leave leaf 1 by the centre
+    ([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], 4),
+])
+def test_pool_is_never_larger_than_the_number_of_groups(directions, groups, monkeypatch):
+    """With 8 workers allowed, the calling thread and one pool thread per
+    further group translate: a lone group starts no thread."""
+    topo, _, tuples, inst = EVAL_TREES["star3"]()
+    sch = build_diffusion_schedule(8)
+    submitted = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(metrics, "eval_workers", lambda: 8)
+    evaluate_checkpoint(OracleScorePredictor(inst, sch), tuples, topo, directions,
+                        "indirect", sch, inst=inst, n_eval=40)
+    assert len(submitted) == groups - 1
+
+
+@pytest.mark.parametrize("env, cpus, workers", [
+    ({}, 2, 1),  # BLAS unpinned: its own threads already use the cores
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({"MKL_NUM_THREADS": "1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),  # OpenBLAS's own first
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "-3"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 2, 1),
+])
+def test_eval_workers_divides_the_cpus_by_the_blas_threads(env, cpus, workers, monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert metrics.eval_workers() == workers
 
 
 def test_evaluate_requires_data(small_star, sch100):
