@@ -19,19 +19,22 @@ _SEP = b"\n---\n"
 
 
 def write_atomic(path, parts) -> None:
-    """Write the str (as UTF-8) and bytes-like `parts`, in order, to
-    `<path>.tmp`, then os.replace it over `path`. If a part or the write
+    """Write the str (as UTF-8) and bytes-like `parts`, in order, to a temp
+    file of this call's own, `<path>.<pid>-<random hex>.tmp`, then os.replace
+    it over `path`. Two writers of one path never share a temp file, so a
+    reader sees one writer's bytes whole. If a part, the write or the rename
     fails, the temp file is removed and `path` keeps its old bytes."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")  # "x": never another call's file; the mode follows the umask
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             for part in parts:
                 fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed before the rename
-            os.remove(tmp)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_blocks(path, magic: str, header: dict, arrays) -> None:

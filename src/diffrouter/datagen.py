@@ -16,6 +16,7 @@ all K domains.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -309,42 +310,95 @@ def _glyph_prototypes() -> np.ndarray:
     return np.stack(protos)
 
 
-# Rows per batched pass of _glyph_domains: large enough that the ndimage
-# calls run over many images at once, small enough to keep the work arrays
-# to a few MB.
+# Rows per batched pass of _glyph_domains: large enough that each view's
+# numpy kernel runs over many images at once, small enough to keep the work
+# arrays to a few MB.
 GLYPH_CHUNK = 512
 
-_SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
-_SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
+
+def _neighbours(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x[i-1], x[i+1]) along `axis` of a stack, 0.0 past either edge."""
+    padded = np.zeros(x.shape[:axis] + (x.shape[axis] + 2,) + x.shape[axis + 1:])
+    lead = (slice(None),) * axis
+    padded[lead + (slice(1, -1),)] = x
+    return padded[lead + (slice(None, -2),)], padded[lead + (slice(2, None),)]
+
+
+def _sobel_pass(x: np.ndarray, diff_axis: int, smooth_axis: int) -> np.ndarray:
+    """One Sobel derivative: d = x[i+1] - x[i-1] along diff_axis, then
+    2*d[j] + (d[j-1] + d[j+1]) along smooth_axis."""
+    prev, nxt = _neighbours(x, diff_axis)
+    d = nxt - prev
+    prev, nxt = _neighbours(d, smooth_axis)
+    return 2.0 * d + (prev + nxt)
 
 
 def _sobel_edges(imgs: np.ndarray) -> np.ndarray:
-    """Sobel gradient magnitude / 4 of each (side, side) image in a stack.
-    The difference and smoothing filters run along the image axes only, in
-    the order `ndimage.sobel` applies them to one image."""
-    from scipy import ndimage  # only the glyph family needs scipy
+    """Sobel gradient magnitude / 4 of each (side, side) image in a stack,
+    zero past the image edges: hypot(gx, gy) / 4, gx differencing along the
+    rows and smoothing along the columns, gy the other way round.
 
-    gx = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=1, mode="constant")
-    ndimage.correlate1d(gx, _SOBEL_SMOOTH, axis=2, output=gx, mode="constant")
-    gy = ndimage.correlate1d(imgs, _SOBEL_DIFF, axis=2, mode="constant")
-    ndimage.correlate1d(gy, _SOBEL_SMOOTH, axis=1, output=gy, mode="constant")
-    mag = np.hypot(gx, gy)
-    return mag / 4.0
+    The sums run in the order `scipy.ndimage.sobel(img, axis, mode="constant")`
+    forms them, so the bytes are the same; tests/test_bit_identity.py pins this
+    against scipy. Any other association differs in the last bit."""
+    return np.hypot(_sobel_pass(imgs, 1, 2), _sobel_pass(imgs, 2, 1)) / 4.0
 
 
-def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0) -> np.ndarray:
-    """Each image of a stack rotated by angle_deg and shrunk by 0.8 about
-    its centre: one order-1 transform whose batch axis maps to itself."""
-    from scipy import ndimage
-
+@lru_cache(maxsize=None)
+def _rotation_taps(angle_deg: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pixel, w_row, w_col), each (4, GLYPH_DIM): per output pixel, the flat
+    index and two weights of the four bilinear corners of its source point,
+    in the corner order (0,0), (0,1), (1,0), (1,1). A pixel whose source
+    falls outside the image reads pixel 0 with weight 0; a corner one past
+    the last row or column has weight 0 and reads the last one."""
     ang = np.deg2rad(angle_deg)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / 0.8
     center = (GLYPH_SIDE - 1) / 2.0
     offset = center - rot @ np.array([center, center])
-    matrix = np.eye(3)
-    matrix[1:, 1:] = rot
-    return ndimage.affine_transform(imgs, matrix, offset=(0.0, *offset), order=1,
-                                    mode="constant")
+    i = np.arange(GLYPH_SIDE, dtype=np.float64)[:, None]
+    j = np.arange(GLYPH_SIDE, dtype=np.float64)[None, :]
+    coords = [offset[a] + rot[a, 0] * i + rot[a, 1] * j for a in (0, 1)]
+    inside = np.logical_and.reduce([(c >= 0) & (c <= GLYPH_SIDE - 1) for c in coords])
+    lows, weights = [], []
+    for c in coords:
+        low = np.floor(c)
+        w_low = 1.0 - (c - low)
+        lows.append(low.astype(np.int64))
+        weights.append((w_low, 1.0 - w_low))  # the second weight as scipy forms it
+    pixel, w_row, w_col = [], [], []
+    for dr in (0, 1):
+        for dc in (0, 1):
+            row = np.minimum(lows[0] + dr, GLYPH_SIDE - 1)
+            col = np.minimum(lows[1] + dc, GLYPH_SIDE - 1)
+            pixel.append(np.where(inside, row * GLYPH_SIDE + col, 0))
+            w_row.append(np.where(inside, weights[0][dr], 0.0))
+            w_col.append(np.where(inside, weights[1][dc], 0.0))
+    taps = tuple(np.stack(t).reshape(4, GLYPH_DIM) for t in (pixel, w_row, w_col))
+    for t in taps:
+        t.setflags(write=False)
+    return taps
+
+
+def _rotate_shrink(imgs: np.ndarray, angle_deg: float = 20.0) -> np.ndarray:
+    """Each image of a stack rotated by angle_deg and shrunk by 0.8 about its
+    centre, bilinear, 0 where the source point leaves the image.
+
+    Output pixel (i, j) reads from c = offset + m[:, 0]*i + m[:, 1]*j, summed
+    in that order, with m the inverse map. Its value is 0.0 plus
+    (v * w_row) * w_col over the four corners in the order of
+    `_rotation_taps`, with weights (1 - t, 1 - (1 - t)) for t = c - floor(c).
+    That is the order of scipy.ndimage's order-1 `affine_transform` in
+    "constant" mode, so the bytes are the same; tests/test_bit_identity.py pins
+    this against scipy."""
+    pixel, w_row, w_col = _rotation_taps(float(angle_deg))
+    flat = imgs.reshape(len(imgs), GLYPH_DIM)
+    out = np.zeros_like(flat)
+    for k in range(4):
+        corner = flat[:, pixel[k]]
+        corner *= w_row[k]
+        corner *= w_col[k]
+        out += corner
+    return out.reshape(imgs.shape)
 
 
 def _glyph_domains(z: np.ndarray, protos: np.ndarray, K: int,
@@ -539,7 +593,30 @@ def instance_to_dict(inst: GaussianInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> GaussianInstance:
-    return GaussianInstance(maps=[np.array(m) for m in data["maps"]],
-                            offsets=[np.array(o) for o in data["offsets"]],
-                            noise=[float(s) for s in data["noise"]],
-                            latent_dim=int(data["latent_dim"]))
+    """The instance `instance_to_dict` wrote. Raises ValueError unless
+    latent_dim is a positive integer and there are at least 2 domains, each
+    with a finite (d, latent_dim) map, a finite (d,) offset and a finite
+    nonnegative noise std, d the same for all."""
+    latent_dim = data["latent_dim"]
+    if type(latent_dim) is not int or latent_dim < 1:  # not a bool or a float
+        raise ValueError(f"latent_dim must be a positive integer, got {latent_dim!r}")
+    maps = [np.asarray(m, dtype=np.float64) for m in data["maps"]]
+    offsets = [np.asarray(o, dtype=np.float64) for o in data["offsets"]]
+    noise = [float(s) for s in data["noise"]]
+    if len(maps) < 2:
+        raise ValueError(f"an instance needs at least 2 maps, got {len(maps)}")
+    if not len(maps) == len(offsets) == len(noise):
+        raise ValueError(f"{len(maps)} maps, {len(offsets)} offsets and {len(noise)} "
+                         "noise stds; one of each per domain")
+    d = maps[0].shape[0] if maps[0].ndim else 0
+    for k, (m, o, s) in enumerate(zip(maps, offsets, noise)):
+        if m.shape != (d, latent_dim) or d < 1:
+            raise ValueError(f"map {k} has shape {m.shape}, not (d, latent_dim={latent_dim})"
+                             f" with d={d} from map 0")
+        if o.shape != (d,):
+            raise ValueError(f"offset {k} has shape {o.shape}, not ({d},)")
+        if not (np.isfinite(m).all() and np.isfinite(o).all()):
+            raise ValueError(f"map or offset {k} is not finite")
+        if not (np.isfinite(s) and s >= 0.0):
+            raise ValueError(f"noise {k} must be finite and nonnegative, got {s}")
+    return GaussianInstance(maps=maps, offsets=offsets, noise=noise, latent_dim=latent_dim)

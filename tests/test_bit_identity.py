@@ -3,7 +3,8 @@ the numerics: the flat parameter vector with its one AdamW update, the batched
 glyph views and the time-feature table.
 
 The dataset pins were produced by the per-row implementation the batched
-glyph views replaced. The checkpoint and loss-log pins come from training in
+glyph views replaced. The views are numpy kernels now; scipy.ndimage stays
+their reference here, compared byte for byte. The checkpoint and loss-log pins come from training in
 float32 in place, the AdamW moments float32 too and the bias corrections
 folded into two scalars, with each paired step one pass over both directions.
 Each of these changed the trained weights on purpose, as did the tanh-form
@@ -156,6 +157,48 @@ def test_glyph_domains_match_per_row_reference(K, n):
     batched = datagen._glyph_domains(z, protos, K, rng_a)
     assert batched.tobytes() == _glyph_domains_per_row(z, protos, K, rng_b).tobytes()
     assert rng_a.random() == rng_b.random()  # the same number of draws
+
+
+def _stack(n):
+    """n random float64 (side, side) images with negative values, of a few scales."""
+    rng = np.random.default_rng(n)
+    return (rng.standard_normal((n, GLYPH_SIDE, GLYPH_SIDE))
+            * rng.uniform(0.01, 100.0, size=(n, 1, 1)))
+
+
+@pytest.mark.parametrize("n", [1, datagen.GLYPH_CHUNK + 177])
+def test_sobel_edges_match_scipy(n):
+    """The numpy Sobel equals, byte for byte, the stack through
+    ndimage.correlate1d and the per-image ndimage.sobel."""
+    imgs = _stack(n)
+    gx = ndimage.correlate1d(imgs, [-1.0, 0.0, 1.0], axis=1, mode="constant")
+    gx = ndimage.correlate1d(gx, [1.0, 2.0, 1.0], axis=2, mode="constant")
+    gy = ndimage.correlate1d(imgs, [-1.0, 0.0, 1.0], axis=2, mode="constant")
+    gy = ndimage.correlate1d(gy, [1.0, 2.0, 1.0], axis=1, mode="constant")
+    got = datagen._sobel_edges(imgs)
+    assert got.tobytes() == (np.hypot(gx, gy) / 4.0).tobytes()
+    one = np.hypot(ndimage.sobel(imgs[0], axis=0, mode="constant"),
+                   ndimage.sobel(imgs[0], axis=1, mode="constant")) / 4.0
+    assert got[0].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("angle", [20.0, -20.0])
+@pytest.mark.parametrize("n", [1, datagen.GLYPH_CHUNK + 177])
+def test_rotate_shrink_matches_scipy(n, angle):
+    """The numpy rotation equals, byte for byte, one order-1
+    ndimage.affine_transform of the stack and the per-image transform."""
+    imgs = _stack(n)
+    ang = np.deg2rad(angle)
+    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) / 0.8
+    center = (GLYPH_SIDE - 1) / 2.0
+    offset = center - rot @ np.array([center, center])
+    matrix = np.eye(3)
+    matrix[1:, 1:] = rot
+    want = ndimage.affine_transform(imgs, matrix, offset=(0.0, *offset), order=1,
+                                    mode="constant")
+    got = datagen._rotate_shrink(imgs, angle)
+    assert got.tobytes() == want.tobytes()
+    assert got[-1].tobytes() == _rotate_shrink_one(imgs[-1], angle).tobytes()
 
 
 # ---------------------------------------------------------------------------

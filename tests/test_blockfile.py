@@ -5,6 +5,9 @@ the one atomic writer that every file of a run goes through."""
 import ast
 import hashlib
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,45 @@ def test_failed_write_keeps_the_old_bytes(tmp_path, monkeypatch, fail):
             _blockfile.write_blocks(blocks, MAGIC, {"k": 2}, [np.zeros(5)])
     assert {path: path.read_bytes() for path in (manifest, blocks)} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "manifest.json"]
+
+
+_WRITER = """
+import os, sys, time
+from diffrouter import _blockfile
+path, go, fill = sys.argv[1], sys.argv[2], sys.argv[3].encode()
+while not os.path.exists(go):
+    time.sleep(0.001)
+for _ in range(200):
+    _blockfile.write_atomic(path, [fill * 4096] * 64)
+"""
+
+
+def test_two_writers_never_tear_a_file(tmp_path):
+    """Two processes rewrite one path at once while a third reads it: every
+    read sees one writer's 256 KB whole, no call fails, and no temp file is
+    left behind."""
+    path, go = tmp_path / "f.bin", tmp_path / "go"
+    _blockfile.write_atomic(path, [b"A" * 262144])
+    env = {**os.environ, "PYTHONPATH": str(Path(_blockfile.__file__).parents[1])}
+    writers = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(go), fill],
+                                env=env, stderr=subprocess.PIPE, text=True)
+               for fill in ("A", "B")]
+    whole = {b"A" * 262144, b"B" * 262144}
+    reads = torn = 0
+    try:
+        go.touch()
+        deadline = time.monotonic() + 60.0
+        while any(w.poll() is None for w in writers) and time.monotonic() < deadline:
+            reads += 1
+            torn += path.read_bytes() not in whole
+    finally:
+        for w in writers:
+            if w.poll() is None:
+                w.kill()
+        errors = [w.communicate(timeout=10)[1] for w in writers]
+    assert [w.returncode for w in writers] == [0, 0], errors
+    assert reads and not torn
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "go"]
 
 
 def _file_writes(tree) -> list[int]:

@@ -200,17 +200,35 @@ def test_config_hash_properties(tmp_path, monkeypatch):
 
 
 def test_cli_import_does_not_load_deferred_modules():
-    """Only the glyph family needs scipy.ndimage, and only an eval needs the
-    thread pool of `metrics.evaluate_checkpoint`; starting the CLI must not
-    pay for their imports."""
+    """The library never imports scipy, and only an eval needs the thread
+    pool of `metrics.evaluate_checkpoint`; starting the CLI must not pay for
+    their imports."""
     src = str(Path(cli.__file__).parents[1])
-    deferred = ["scipy.ndimage", "concurrent.futures", "multiprocessing"]
+    deferred = ["scipy", "concurrent.futures", "multiprocessing"]
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, diffrouter.cli; print([m for m in {deferred} if m in sys.modules])"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
+
+
+def test_glyph_gen_data_does_not_load_scipy(tmp_path):
+    """The glyph views are numpy kernels: a glyph gen-data, which renders all
+    of them, leaves no scipy module loaded."""
+    src = str(Path(cli.__file__).parents[1])
+    flags = ["instance.family=glyphs", "instance.d=64", "instance.k=4",
+             "instance.n_train=40", "instance.n_eval_tuples=20"]
+    argv = ["gen-data"] + [a for flag in flags for a in ("--override", flag)]
+    script = ("import sys; from diffrouter.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src,
+                                          "DIFFROUTER_OUTPUT_ROOT": str(tmp_path)})
+    assert out.stdout.splitlines()[-1] == "[]"
+    (run,) = tmp_path.iterdir()
+    assert (run / "datasets/edge_3-0.bin").exists()
 
 
 def test_child_seed_stable_and_distinct():
@@ -916,6 +934,55 @@ def _truncate(text: str) -> str:
 
 def _drop(key: str):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+def _edit_instance(**changes):
+    """Replace keys of instance.json; a key `name__i` replaces entry i of
+    the list under name."""
+    def damage(text: str) -> str:
+        data = json.loads(text)
+        for key, value in changes.items():
+            name, _, index = key.partition("__")
+            if index:
+                data[name][int(index)] = value
+            else:
+                data[name] = value
+        return json.dumps(data)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_instance(maps=[]),
+    _edit_instance(maps=[[[1.0, 0.0], [0.0, 1.0]]]),
+    _edit_instance(maps__1=[[1.0, 0.0]]),
+    _edit_instance(maps__2=[[1.0], [0.0]]),
+    _edit_instance(maps__1=[[1.0, 0.0], [0.0, float("nan")]]),
+    _edit_instance(offsets="x"),
+    _edit_instance(offsets__1=[0.0, 0.0, 0.0]),
+    _edit_instance(offsets=[[0.0, 0.0], [0.0, 0.0]]),
+    _edit_instance(noise__1=-0.1),
+    _edit_instance(noise__1=float("nan")),
+    _edit_instance(noise__2=float("inf")),
+    _edit_instance(latent_dim=-1),
+    _edit_instance(latent_dim=0),
+    _edit_instance(latent_dim=1e308),
+    _edit_instance(latent_dim=2.0),
+    _edit_instance(latent_dim=True),
+    _edit_instance(latent_dim=3),
+], ids=["no-maps", "one-map", "map-rows", "map-cols", "map-nan", "offsets-str",
+        "offset-length", "offsets-too-few", "noise-negative", "noise-nan", "noise-inf",
+        "latent-negative", "latent-zero", "latent-huge", "latent-float", "latent-bool",
+        "latent-not-map-width"])
+def test_invalid_instance_is_one_line_error(workspace, capsys, damage):
+    """An instance.json that parses but cannot be a gaussian instance is
+    refused as one ValueError line naming it, never a traceback or a run."""
+    root, cfg_path = workspace
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    path = _run(root, load_config(cfg_path)) / "datasets/instance.json"
+    path.write_text(damage(path.read_text()))
+    assert main(["eval", "--config", cfg_path]) == 1
+    assert "damaged file: ValueError" in _one_line_error(capsys, path)
 
 
 @pytest.mark.parametrize("rel, damage, stage", [
