@@ -275,20 +275,42 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def update_manifest(run: Path, cfg: ExperimentConfig, artifacts: dict[str, str],
                     settings: dict[str, dict]) -> None:
     """Record `artifacts` (name -> path in the run) and, under "settings", what
-    made those artifacts that command-line arguments can change (name -> values)."""
+    made those artifacts that command-line arguments can change (name -> values).
+    The read, merge and write hold an advisory lock on the run directory, so
+    two stages updating one run keep each other's entries."""
+    import fcntl
+
     path = run / "manifest.json"
-    manifest = {"config_hash": config_hash(cfg), "tool_version": __version__,
-                "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "artifacts": {}}
-    if path.exists():
-        manifest = _read_json(path, lambda m: {**m, "artifacts": dict(m["artifacts"])})
-    for name, rel in artifacts.items():
+    for rel in artifacts.values():
         if not (run / rel).exists():
             raise CliError(f"manifest artifact missing on disk: {rel}")
-        manifest["artifacts"][name] = rel
-    for name, values in settings.items():
-        manifest.setdefault("settings", {})[name] = values
-    manifest["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _blockfile.write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    fd = os.open(path=run, flags=os.O_RDONLY)  # the lock's; nothing is written through it
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        manifest = {"config_hash": config_hash(cfg), "tool_version": __version__,
+                    "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "artifacts": {}}
+        if path.exists():
+            manifest = _read_json(path, _parse_manifest)
+        manifest["artifacts"].update(artifacts)
+        if settings:
+            manifest.setdefault("settings", {}).update(settings)
+        manifest["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        _blockfile.write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    finally:
+        os.close(fd)  # releases the lock
+
+
+def _parse_manifest(manifest) -> dict:
+    """The manifest's JSON, refused unless it is an object whose "artifacts"
+    maps names to paths and whose "settings", when present, maps names to
+    objects."""
+    if not isinstance(manifest, dict):
+        raise TypeError("not a JSON object")
+    for key, kind in (("artifacts", str), ("settings", dict)):
+        value = manifest[key] if key == "artifacts" else manifest.get(key, {})
+        if not isinstance(value, dict) or not all(isinstance(v, kind) for v in value.values()):
+            raise TypeError(f"{key!r} is not a JSON object of {kind.__name__} values")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +353,9 @@ def load_run_data(cfg: ExperimentConfig, run: Path, *, edges: bool = False,
     edge, K, d and config hash, and a file this call does not load must be as
     long as its header says. Then the arrays of the files the stage reads:
     the edge datasets if `edges`, the eval tuples if `eval_tuples`; the other
-    comes back None. Raises a one-line error naming the first file refused.
+    comes back None. Last, the gaussian-affine family's instance.json, which
+    must exist and match K and d. Raises a one-line error naming the first
+    file refused.
     The reading stages call this before they write anything into `run`."""
     want = config_hash(cfg)
     topo = build_instance_topology(cfg)
@@ -355,6 +379,8 @@ def load_run_data(cfg: ExperimentConfig, run: Path, *, edges: bool = False,
         inst = _read_json(path, datagen.instance_from_dict)
         _check_match(path, "instance", (("K", inst.K, cfg.K),
                                         ("data_dim", inst.data_dim, cfg.d)))
+    elif cfg.family == "gaussian-affine":  # the one family gen-data writes it for
+        raise CliError(f"missing {path}; run gen-data first")
     return topo, datasets, tuples, inst
 
 

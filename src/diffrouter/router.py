@@ -262,22 +262,13 @@ def forward_cached(params: RouterParams, x_t, t, x_src, tgt, src):
     return out, (cache, tgt, src)
 
 
-def gradient_buffer(params: RouterParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A new vector in the layout and dtype of `params.flat`, with its views
-    shaped like `param_list()`: the `out` of `backward`."""
-    flat = np.empty_like(params.flat)
-    return flat, _param_views(params, flat)
-
-
-def backward(params: RouterParams, cache, output_grad: np.ndarray, out=None) -> np.ndarray:
-    """The gradient of <output, output_grad> as a vector in the layout and
+def backward(params: RouterParams, cache, output_grad: np.ndarray) -> np.ndarray:
+    """The gradient of <output, output_grad> as a new vector in the layout and
     dtype of `params.flat`; each row's embedding gradient goes to its labels.
-    Of layer 0's input gradient only the 2 E embedding columns are formed.
-    The gradient is written into `out`, a `gradient_buffer(params)` that a
-    training loop makes once, when it is given, else into a new vector."""
+    Of layer 0's input gradient only the 2 E embedding columns are formed."""
     net_cache, tgt, src = cache
-    grads, views = gradient_buffer(params) if out is None else out
-    *net_grads, emb_grad = views
+    grads = np.empty_like(params.flat)
+    *net_grads, emb_grad = _param_views(params, grads)
     _, gz = netcore.backward(params.backbone, net_cache, output_grad, out=net_grads)
     E = params.emb_dim
     g_emb = gz @ params.backbone.weights[0][:, 2 * params.data_dim + params.time_dim:]

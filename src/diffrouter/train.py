@@ -16,10 +16,10 @@ a `BridgeSchedule` bridges the pair's two sides and supports paired training onl
 Training runs in float32 on one parameter vector: the trained
 `RouterParams.flat`, its gradient and the AdamW moments are all float32, and
 each step's AdamW update writes into `flat` in place. A gradient is a flat
-vector in the layout of `RouterParams.flat`; `train` writes every step's
-gradient into one such vector, made once per call (`router.gradient_buffer`).
-Labels are per row, so a paired or combined step is one forward and one
-backward pass over its rows (`_regress`).
+vector in the layout of `RouterParams.flat`, made new by each step's
+backward pass (`router.backward`) and consumed by its optimizer step. Labels
+are per row, so a paired or combined step is one forward and one backward
+pass over its rows (`_regress`).
 
 The unpaired loss draws the noisy target via Tweedie refinement: starting
 from a forward-diffused random target-domain sample, iterate
@@ -86,15 +86,14 @@ def _corrupt(x_tgt, x_src, t, eps, sch):
 
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
                      sch, rng: np.random.Generator, *,
-                     topo: Topology | None = None, predict_fn=None, zeta=None,
-                     out=None) -> tuple[float, np.ndarray | None]:
+                     topo: Topology | None = None, predict_fn=None,
+                     zeta=None) -> tuple[float, np.ndarray | None]:
     """One evaluation of the bidirectional paired objective on a batch.
 
     Per example: t ~ U(1, T), eps ~ N(0, I), zeta ~ Bernoulli(0.5); the
     zeta-selected side of the pair is corrupted and only that direction's
     squared noise-prediction error contributes; zeta = 1 corrupts the a side.
-    Returns the mean per-example loss and the gradient of `params.flat`,
-    written into `out` when it is given (see `router.backward`). A
+    Returns the mean per-example loss and the gradient of `params.flat`. A
     `predict_fn` stands in for params and computes no gradient: the second
     value is then None.
     """
@@ -102,7 +101,7 @@ def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndar
     if predict_fn is not None:
         resid = predict_fn(*inputs) - eps
         return float(np.sum(resid * resid)) / len(eps), None
-    return _regress(params, [(*inputs, eps, 1.0)], out)
+    return _regress(params, [(*inputs, eps, 1.0)])
 
 
 def _paired_rows(ds: PairedDataset, batch_idx, sch, rng, zeta=None, topo=None) -> tuple:
@@ -125,11 +124,10 @@ def _paired_rows(ds: PairedDataset, batch_idx, sch, rng, zeta=None, topo=None) -
     return _corrupt(x_tgt, x_src, t, eps, sch), t, x_src, tgt, src, eps
 
 
-def _regress(params: RouterParams, blocks: list[tuple], out=None) -> tuple:
+def _regress(params: RouterParams, blocks: list[tuple]) -> tuple:
     """One pass of params over the row blocks (x_t, t, x_src, tgt, src, target,
     weight), stacked: each block's mean squared residual L_k, then the gradient
-    of sum_k weight_k L_k, each row's output gradient weighted by its block's,
-    written into `out` when it is given (see `router.backward`)."""
+    of sum_k weight_k L_k, each row's output gradient weighted by its block's."""
     cols = [col[0] if len(col) == 1 else np.concatenate(col) for col in list(zip(*blocks))[:6]]
     pred, cache = router_mod.forward_cached(params, *cols[:5])
     resid = pred - cols[5]
@@ -140,7 +138,7 @@ def _regress(params: RouterParams, blocks: list[tuple], out=None) -> tuple:
         losses.append(float(np.sum(r * r)) / len(r))
         r *= 2.0 * weight
         r /= len(r)
-    return *losses, router_mod.backward(params, cache, resid, out)
+    return *losses, router_mod.backward(params, cache, resid)
 
 
 def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
@@ -164,16 +162,14 @@ def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
                        sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
-                       topo: Topology, rehearsal: PairedDataset | None = None,
-                       out=None) -> tuple:
+                       topo: Topology, rehearsal: PairedDataset | None = None) -> tuple:
     """Distillation step for the direct mapping i -> j.
 
     batch_i / batch_c are aligned pair sides from the (i, c) dataset. The
     noisy target x_t^j starts from a forward-diffused draw out of x_j_pool and
     is Tweedie-refined against x_c before the frozen reference is queried.
     The reference receives no gradient. Returns (loss, grads) of this term, or
-    with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`;
-    grads is written into `out` when it is given (see `router.backward`).
+    with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`.
     """
     if isinstance(sch, BridgeSchedule):
         raise ValueError(
@@ -191,12 +187,12 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     x_t_j = tweedie_refine(teacher, x_t_j, t, sch, rng, n=cfg.n_refine)
     block = (x_t_j, t, batch_i, np.full(B, j), np.full(B, i), teacher(x_t_j, t))
     if rehearsal is None:
-        return _regress(params, [(*block, 1.0)], out)
+        return _regress(params, [(*block, 1.0)])
     if cfg.lambda2 == 0.0:
-        l_u, grads = _regress(params, [(*block, cfg.lambda1)], out)
+        l_u, grads = _regress(params, [(*block, cfg.lambda1)])
         return l_u, 0.0, grads
     return _regress(params, [(*block, cfg.lambda1),
-                             _rehearsal_rows(rehearsal, cfg, sch, rng, topo)], out)
+                             _rehearsal_rows(rehearsal, cfg, sch, rng, topo)])
 
 
 def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tuple:
@@ -206,23 +202,22 @@ def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tupl
 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
                     unpaired: tuple, cfg: TrainConfig, sch: DiffusionSchedule,
-                    rng: np.random.Generator, topo: Topology, out=None
+                    rng: np.random.Generator, topo: Topology
                     ) -> tuple[float, float, float, np.ndarray]:
     """Combined objective lambda1 * L_unpaired + lambda2 * L_paired for one
     step. `unpaired` is (batch_i, batch_c, i, c, j, x_j_pool); its rows are
     drawn first, then a rehearsal batch from paired_ds, and one forward and
     one backward pass over both gives the gradient. Returns (total,
-    unpaired_loss, paired_loss, grads), grads written into `out` when it is
-    given (see `router.backward`); a term with a zero coefficient is
+    unpaired_loss, paired_loss, grads); a term with a zero coefficient is
     skipped."""
     if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
         raise ValueError("at least one loss coefficient must be positive")
     if cfg.lambda1 > 0.0:
         l_u, l_p, grads = unpaired_loss_step(params, ref, *unpaired, sch, cfg, rng, topo,
-                                             rehearsal=paired_ds, out=out)
+                                             rehearsal=paired_ds)
     else:
         l_u = 0.0
-        l_p, grads = _regress(params, [_rehearsal_rows(paired_ds, cfg, sch, rng, topo)], out)
+        l_p, grads = _regress(params, [_rehearsal_rows(paired_ds, cfg, sch, rng, topo)])
     return cfg.lambda1 * l_u + cfg.lambda2 * l_p, l_u, l_p, grads
 
 
@@ -277,24 +272,21 @@ def train(cfg: TrainConfig, topo: Topology, datasets: list[PairedDataset],
     warmup = 0 if cfg.regime == "finetune" else cfg.warmup_steps
     opt = OptimizerState(lr=lr, warmup_steps=warmup)
     log = _WindowLog()
-    # every step's gradient is written into this one vector, which each
-    # optimizer step consumes before the next step overwrites it
-    grads = router_mod.gradient_buffer(params)
 
     if cfg.regime == "paired-only":
-        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log, grads)
+        _run_paired(cfg, topo, datasets, sch, params, opt, rng, log)
     else:
-        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log, grads)
+        _run_combined(cfg, topo, datasets, sch, params, opt, rng, log)
     if log.acc:  # the trailing partial window
         log.flush(cfg.steps, opt.effective_lr())
     return TrainResult(params=params, log_rows=log.rows)
 
 
-def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log, out):
+def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log):
     for step in range(1, cfg.steps + 1):
         ds = datasets[(step - 1) % len(datasets)]
         idx = rng.integers(0, len(ds), size=cfg.batch_size)
-        loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo, out=out)
+        loss, grads = paired_loss_step(params, ds, idx, sch, rng, topo=topo)
         if not np.isfinite(loss):
             raise DivergenceError(f"paired loss diverged at step {step}")
         optimizer_step(opt, params.flat, grads)
@@ -303,7 +295,7 @@ def _run_paired(cfg, topo, datasets, sch, params, opt, rng, log, out):
             log.flush(step, opt.effective_lr())
 
 
-def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log, out):
+def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log):
     # each non-edge direction i -> j with its route resolved once: the hop
     # count, the first hop c, the (i, c) dataset and the dataset holding j
     directions = []
@@ -341,7 +333,7 @@ def _run_combined(cfg, topo, datasets, sch, params, opt, rng, log, out):
             unpaired = (ds_ic.side(i)[idx], ds_ic.side(c)[idx], i, c, j, ds_j.side(j))
             paired_ds = datasets[(step - 1) % len(datasets)]
             total, l_u, l_p, grads = final_loss_step(params, ref, paired_ds,
-                                                     unpaired, cfg, sch, rng, topo, out)
+                                                     unpaired, cfg, sch, rng, topo)
             if not np.isfinite(total):
                 raise DivergenceError(f"combined loss diverged at step {step}")
             optimizer_step(opt, params.flat, grads)

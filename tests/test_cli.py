@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -936,9 +937,9 @@ def _drop(key: str):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-def _edit_instance(**changes):
-    """Replace keys of instance.json; a key `name__i` replaces entry i of
-    the list under name."""
+def _edit_json(**changes):
+    """Replace keys of a JSON object file; a key `name__i` replaces entry i
+    of the list under name."""
     def damage(text: str) -> str:
         data = json.loads(text)
         for key, value in changes.items():
@@ -952,23 +953,23 @@ def _edit_instance(**changes):
 
 
 @pytest.mark.parametrize("damage", [
-    _edit_instance(maps=[]),
-    _edit_instance(maps=[[[1.0, 0.0], [0.0, 1.0]]]),
-    _edit_instance(maps__1=[[1.0, 0.0]]),
-    _edit_instance(maps__2=[[1.0], [0.0]]),
-    _edit_instance(maps__1=[[1.0, 0.0], [0.0, float("nan")]]),
-    _edit_instance(offsets="x"),
-    _edit_instance(offsets__1=[0.0, 0.0, 0.0]),
-    _edit_instance(offsets=[[0.0, 0.0], [0.0, 0.0]]),
-    _edit_instance(noise__1=-0.1),
-    _edit_instance(noise__1=float("nan")),
-    _edit_instance(noise__2=float("inf")),
-    _edit_instance(latent_dim=-1),
-    _edit_instance(latent_dim=0),
-    _edit_instance(latent_dim=1e308),
-    _edit_instance(latent_dim=2.0),
-    _edit_instance(latent_dim=True),
-    _edit_instance(latent_dim=3),
+    _edit_json(maps=[]),
+    _edit_json(maps=[[[1.0, 0.0], [0.0, 1.0]]]),
+    _edit_json(maps__1=[[1.0, 0.0]]),
+    _edit_json(maps__2=[[1.0], [0.0]]),
+    _edit_json(maps__1=[[1.0, 0.0], [0.0, float("nan")]]),
+    _edit_json(offsets="x"),
+    _edit_json(offsets__1=[0.0, 0.0, 0.0]),
+    _edit_json(offsets=[[0.0, 0.0], [0.0, 0.0]]),
+    _edit_json(noise__1=-0.1),
+    _edit_json(noise__1=float("nan")),
+    _edit_json(noise__2=float("inf")),
+    _edit_json(latent_dim=-1),
+    _edit_json(latent_dim=0),
+    _edit_json(latent_dim=1e308),
+    _edit_json(latent_dim=2.0),
+    _edit_json(latent_dim=True),
+    _edit_json(latent_dim=3),
 ], ids=["no-maps", "one-map", "map-rows", "map-cols", "map-nan", "offsets-str",
         "offset-length", "offsets-too-few", "noise-negative", "noise-nan", "noise-inf",
         "latent-negative", "latent-zero", "latent-huge", "latent-float", "latent-bool",
@@ -990,8 +991,9 @@ def test_invalid_instance_is_one_line_error(workspace, capsys, damage):
     ("datasets/instance.json", _drop("maps"), "eval"),
     ("manifest.json", _truncate, "gen-data"),
     ("manifest.json", _drop("artifacts"), "gen-data"),
+    ("manifest.json", _edit_json(settings=[]), "gen-data"),
 ], ids=["instance-truncated", "instance-no-maps", "manifest-truncated",
-        "manifest-no-artifacts"])
+        "manifest-no-artifacts", "manifest-settings-list"])
 def test_damaged_json_is_one_line_error(workspace, capsys, rel, damage, stage):
     """A damaged JSON file of the run fails as one ValueError line naming it."""
     root, cfg_path = workspace
@@ -1001,3 +1003,136 @@ def test_damaged_json_is_one_line_error(workspace, capsys, rel, damage, stage):
     path.write_text(damage(path.read_text()))
     assert main([stage, "--config", cfg_path]) == 1
     assert "damaged file" in _one_line_error(capsys, path)
+
+
+def test_missing_instance_is_one_line_error(trained_run, tmp_path, monkeypatch, capsys):
+    """A gaussian-affine run whose instance.json is gone is refused as one
+    line, not scored against held-out targets in place of the oracle."""
+    root, cfg_path = trained_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    run = _run(tmp_path, load_config(cfg_path))
+    path = run / "datasets/instance.json"
+    path.unlink()
+    capsys.readouterr()
+    ckpt = _run(root, load_config(cfg_path)) / "checkpoints/paired.ckpt"
+    assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: CliError: missing {path}; run gen-data first\n"
+    assert not any((run / "reports").iterdir())
+
+
+_MANIFEST_WRITER = """
+import os, sys, time
+from pathlib import Path
+from diffrouter import cli
+run, go, tag = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+cfg = cli.load_config(None)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(300):
+    cli.update_manifest(run, cfg, {f"{tag}-{i}": f"reports/{tag}-{i}.csv"}, {tag: {"i": i}})
+"""
+
+
+def test_two_stages_keep_each_others_manifest_entries(tmp_path):
+    """Two processes update one run's manifest at once, each with its own
+    artifact entries: every entry of both survives, and no call fails."""
+    run, go = tmp_path / "run", tmp_path / "go"
+    (run / "reports").mkdir(parents=True)
+    for tag in ("a", "b"):
+        for i in range(300):
+            (run / f"reports/{tag}-{i}.csv").touch()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    writers = [subprocess.Popen([sys.executable, "-c", _MANIFEST_WRITER, str(run), str(go),
+                                 tag], env=env, stderr=subprocess.PIPE, text=True)
+               for tag in ("a", "b")]
+    try:
+        go.touch()
+        deadline = time.monotonic() + 60.0
+        while any(w.poll() is None for w in writers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        for w in writers:
+            if w.poll() is None:
+                w.kill()
+        errors = [w.communicate(timeout=10)[1] for w in writers]
+    assert [w.returncode for w in writers] == [0, 0], errors
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["artifacts"] == {f"{tag}-{i}": f"reports/{tag}-{i}.csv"
+                                     for tag in ("a", "b") for i in range(300)}
+    assert manifest["settings"] == {"a": {"i": 299}, "b": {"i": 299}}
+
+
+# the damage sweep: a run's files, each damaged in turn and read by a stage
+SWEEP_FLAGS = ["--override", "train.steps=6", "--override", "eval.n_eval=10"]
+
+
+@pytest.fixture(scope="module")
+def swept_run(tmp_path_factory):
+    """The root, run directory and stage flags of a tiny run of gen-data and
+    train-paired."""
+    root = tmp_path_factory.mktemp("sweep")
+    cfg_path = root / "tiny.ini"
+    cfg_path.write_text(TINY)
+    flags = ["--config", str(cfg_path), *SWEEP_FLAGS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+        for stage in ("gen-data", "train-paired"):
+            assert main([stage, *flags]) == 0, stage
+    return root, _run(root, load_config(str(cfg_path), SWEEP_FLAGS[1::2])), flags
+
+
+def _header_damages(blob: bytes):
+    """(key, bytes) of a block file with each header value set to a bad one in
+    turn, then (None, bytes) of the file cut short at a few offsets."""
+    sep = blob.index(b"\n---\n")
+    lines = blob[:sep].split(b"\n")
+    for i, line in enumerate(lines[1:], start=1):
+        key = line.partition(b"=")[0]
+        for bad in (b"", b"abc", b"-1", b"9" * 30):
+            yield key.decode(), b"\n".join([*lines[:i], key + b"=" + bad, *lines[i + 1:]]) \
+                + blob[sep:]
+    for cut in (0, 5, sep, sep + 7, len(blob) // 2, len(blob) - 1):
+        yield None, blob[:cut]
+
+
+def _json_damages(text: bytes):
+    """(key, bytes) of a JSON object with each top-level key, and "settings",
+    set to a bad value in turn, then (None, bytes) of the file cut short."""
+    data = json.loads(text)
+    for key in sorted({*data, "settings"}):
+        for bad in (None, [], "abc", -1, 10**30, 1e308, {"x": 1}):
+            yield key, json.dumps({**data, key: bad}).encode()
+    for cut in (0, 1, len(text) // 2):
+        yield None, text[:cut]
+
+
+@pytest.mark.parametrize("rel, stage, unread", [
+    ("checkpoints/paired.ckpt", "eval", {"config_hash"}),
+    ("datasets/edge_1-0.bin", "train-paired", {"seed", "family"}),
+    ("datasets/eval.bin", "eval", {"seed", "family"}),
+    ("manifest.json", "eval", {"created", "updated", "tool_version", "config_hash"}),
+], ids=["checkpoint", "edge", "eval-tuples", "manifest"])
+def test_every_damage_of_a_run_file_is_one_line_error(swept_run, monkeypatch, capsys,
+                                                      rel, stage, unread):
+    """Each damage of a file is refused by the stage that reads it as exit 1
+    and one error line naming the file, never a traceback. Only a value
+    nothing reads (`unread`) may pass with exit 0."""
+    root, run, flags = swept_run
+    monkeypatch.setenv("DIFFROUTER_OUTPUT_ROOT", str(root / "runs"))
+    path = run / rel
+    good = path.read_bytes()
+    damages = _json_damages(good) if rel.endswith(".json") else _header_damages(good)
+    wrong = []
+    capsys.readouterr()
+    try:
+        for key, bad in damages:
+            path.write_bytes(bad)
+            code, err = main([stage, *flags]), capsys.readouterr().err
+            refused = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                       and str(path) in err)
+            if not (refused or key in unread and code == 0 and not err):
+                wrong.append((key, bad[-60:], code, err))
+    finally:
+        path.write_bytes(good)
+    assert not wrong
