@@ -13,14 +13,12 @@ from .datagen import (EvalTuples, GaussianInstance, PairedDataset, Topology,
 from .netcore import DivergenceError
 from .router import RouterParams, init_router, load_checkpoint, save_checkpoint
 from .sample import TranslationRequest, TranslationResult, route_path, translate
-from .schedules import (BridgeSchedule, DiffusionSchedule,
-                        build_bridge_schedule, build_diffusion_schedule)
+from .schedules import Schedule, build_bridge_schedule, build_diffusion_schedule
 from .train import TrainConfig, train
 
 __all__ = [
     "__version__",
-    "BridgeSchedule", "DiffusionSchedule",
-    "build_bridge_schedule", "build_diffusion_schedule",
+    "Schedule", "build_bridge_schedule", "build_diffusion_schedule",
     "DivergenceError",
     "RouterParams", "init_router", "load_checkpoint", "save_checkpoint",
     "EvalTuples", "GaussianInstance", "PairedDataset", "Topology",

@@ -31,7 +31,7 @@ from . import router as router_mod
 from .datagen import FAMILIES
 from .netcore import ACTIVATIONS, DivergenceError
 from .sample import TranslationRequest, translate
-from .schedules import PROFILES, VARIANTS, build_bridge_schedule, build_diffusion_schedule
+from .schedules import PROFILES, VARIANTS, Schedule, build_bridge_schedule, build_diffusion_schedule
 from .train import TrainConfig, train
 
 SUBDIRS = ("datasets", "checkpoints", "logs", "reports", "plots")
@@ -327,7 +327,7 @@ def build_instance(cfg: ExperimentConfig):
                                        M=cfg.n_eval_tuples, family=cfg.family)
 
 
-def build_schedule(cfg: ExperimentConfig):
+def build_schedule(cfg: ExperimentConfig) -> Schedule:
     if cfg.variant == "bridge":
         return build_bridge_schedule(cfg.T, scale=cfg.bridge_scale, eta=cfg.eta)
     return build_diffusion_schedule(cfg.T, profile=cfg.profile, eta=cfg.eta)

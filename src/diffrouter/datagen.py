@@ -217,11 +217,12 @@ def noisy_conditional(inst: GaussianInstance, src: int, tgt: int, x_src: np.ndar
 class OracleScorePredictor:
     """Exact noise predictor for a gaussian-affine instance.
 
-    Implements the same call signature as the learned router:
-    eps*(x_t, t, x_src, tgt, src) = sigma_t St^{-1} (x_t - a_t mu) with
-    (mu, Sigma) the analytic conditional and St = a_t^2 Sigma + sigma_t^2 I.
-    t is a scalar step, or one step per row of a batch x_t with aligned x_src
-    rows; then each distinct step is solved once for its rows.
+    Implements the same call signature as the learned router, for either
+    variant: eps*(x_t, t, x_src, tgt, src) = sigma_t St^{-1} (x_t - alpha_t mu
+    - beta_t x_src) with (mu, Sigma) the analytic conditional and
+    St = alpha_t^2 Sigma + sigma_t^2 I; zero where sigma_t = 0. t is a
+    scalar step, or one step per row of a batch x_t with aligned x_src rows;
+    then each distinct step is solved once for its rows.
     """
 
     def __init__(self, inst: GaussianInstance, sch):
@@ -243,10 +244,11 @@ class OracleScorePredictor:
         return out[0] if squeeze else out
 
     def _eps(self, x_t, t: int, x_src, tgt: int, src: int) -> np.ndarray:
-        a_t = self.sch.a[t]
         sigma_t = self.sch.sigma[t]
-        mean, cov = noisy_conditional(self.inst, src, tgt, x_src, a_t, sigma_t)
-        return sigma_t * np.linalg.solve(cov, (x_t - mean).T).T
+        if sigma_t == 0.0:
+            return np.zeros_like(x_t)
+        mean, cov = noisy_conditional(self.inst, src, tgt, x_src, self.sch.alpha[t], sigma_t)
+        return sigma_t * np.linalg.solve(cov, (x_t - mean - self.sch.beta[t] * x_src).T).T
 
 
 def _make_gaussian_instance(K: int, d: int, rng: np.random.Generator,

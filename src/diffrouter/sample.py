@@ -28,8 +28,10 @@ read. So chains run in separate threads need no lock, as long as no `hops`
 cache is shared between threads; `metrics.evaluate_checkpoint` gives each
 group of routes it runs its own.
 
-The schedule's type picks the sampler, and its eta the reverse-step noise: a
-`DiffusionSchedule` starts from Gaussian noise, a `BridgeSchedule` from the source.
+Both variants run one chain and one reverse step, which read the schedule's
+alpha, beta and sigma tables, and its eta scales the reverse-step std. A chain
+starts from the source when beta_T > 0 (the bridge, x_T == x_src) and from
+Gaussian noise otherwise (diffusion, beta = 0).
 """
 
 from dataclasses import dataclass, field
@@ -38,8 +40,7 @@ import numpy as np
 
 from .datagen import Topology, check_labels
 from .router import KIND_DIRECT, condition
-from .schedules import (BridgeSchedule, DiffusionSchedule, bridge_reverse_std, prev_step,
-                        reverse_variance)
+from .schedules import Schedule, prev_step, reverse_variance
 
 
 @dataclass(frozen=True)
@@ -85,91 +86,66 @@ def _time_grid(T: int, steps: int) -> np.ndarray:
     return grid
 
 
-def reverse_step_diffusion(predictor, x_t, t: int, sch: DiffusionSchedule,
+def reverse_step_diffusion(predictor, x_t, t: int, sch: Schedule,
                            rng: np.random.Generator,
-                           t_prev: int | None = None) -> np.ndarray:
-    """One DDIM/ancestral step by a bound predictor(x_t, t) (see
-    `router.condition`): x_prev = mu + omega * xi.
+                           t_prev: int | None = None, y=None) -> np.ndarray:
+    """One reverse step by a bound predictor(x_t, t) (see `router.condition`),
+    for either variant; the name is kept for the benchmark's tracer until
+    ROADMAP item 2 renames it. y is the chain's source x_src, read only where
+    the schedule's beta is not 0. x_prev = mu + omega * xi, with omega from
+    `reverse_variance` and
 
-    mu = (a_prev/a_t) x_t + (sqrt(sigma_prev^2 - omega^2) - sigma_t a_prev / a_t) eps_hat.
+    mu = (a_p/a_t) x_t + (b_p - b_t a_p/a_t) y
+         + (sqrt(sigma_p^2 - omega^2) - sigma_t a_p / a_t) eps_hat.
+
     Noise is suppressed on the final step to t_prev = 0, so outputs are means.
+    The bridge's t = T step is singular (alpha_T = 0, sigma_T = 0); there the
+    unknown clean sample is approximated by the endpoint itself, giving
+    x_prev = (alpha_prev + beta_prev) y + omega xi with O(1/T) bias.
     """
     t_prev = prev_step(sch, t, t_prev)
-    eps_hat = predictor(x_t, t)
-    omega = reverse_variance(sch, t, t_prev)
-    a_p, a_t = sch.a[t_prev], sch.a[t]
+    a_p, a_t = sch.alpha[t_prev], sch.alpha[t]
+    b_p, b_t = sch.beta[t_prev], sch.beta[t]
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
-    coef = np.sqrt(max(s_p * s_p - omega * omega, 0.0)) - s_t * a_p / a_t
-    mean = (a_p / a_t) * np.asarray(x_t) + coef * eps_hat
+    omega = reverse_variance(sch, t, t_prev)
+    if a_t == 0.0:
+        mean = (a_p + b_p) * np.asarray(y)
+    else:
+        eps_hat = predictor(x_t, t)
+        coef = np.sqrt(max(s_p * s_p - omega * omega, 0.0)) - s_t * a_p / a_t
+        mean = (a_p / a_t) * np.asarray(x_t)
+        src_coef = b_p - b_t * a_p / a_t
+        if src_coef != 0.0:  # diffusion (beta = 0) adds no source term
+            mean += src_coef * np.asarray(y)
+        mean += coef * eps_hat
     if omega > 0.0:
         return mean + omega * rng.standard_normal(np.shape(mean))
     return mean
 
 
-def reverse_step_bridge(predictor, x_t, t: int, y, sch: BridgeSchedule,
-                        rng: np.random.Generator,
-                        t_prev: int | None = None) -> np.ndarray:
-    """One bridge reverse step with endpoint y (x_T == y), by a predictor
-    bound to y and the labels.
-
-    The t = T step is singular (alpha_T = 0, sigma_T = 0); there the unknown
-    clean sample is approximated by the endpoint itself, giving
-    x_prev = (alpha_prev + beta_prev) y + sigma_prev * xi with O(1/T) bias.
-    """
-    t_prev = prev_step(sch, t, t_prev)
-    y = np.asarray(y)
-    a_p, a_t = sch.alpha[t_prev], sch.alpha[t]
-    b_p, b_t = sch.beta[t_prev], sch.beta[t]
-    s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
-    if t == sch.T:
-        mean = (a_p + b_p) * y
-        if sch.eta > 0.0 and s_p > 0.0:
-            return mean + s_p * rng.standard_normal(np.shape(mean))
-        return mean
-    eps_hat = predictor(x_t, t)
-    delta_std = bridge_reverse_std(sch, t, t_prev)
-    delta_sq = (delta_std * s_t / s_p) ** 2 if s_p > 0.0 else 0.0
-    coef = s_p * np.sqrt(max(s_t * s_t - delta_sq, 0.0)) / s_t - s_t * a_p / a_t
-    mean = (a_p / a_t) * np.asarray(x_t) + (b_p - b_t * a_p / a_t) * y + coef * eps_hat
-    if delta_std > 0.0 and t_prev > 0:
-        return mean + delta_std * rng.standard_normal(np.shape(mean))
-    return mean
-
-
-def sample_chain_diffusion(predictor, x_src, tgt: int, src: int, sch: DiffusionSchedule,
+def sample_chain_diffusion(predictor, x_src, tgt: int, src: int, sch: Schedule,
                            rng: np.random.Generator,
                            steps: int = 0) -> tuple[np.ndarray, int]:
-    """Full reverse pass from Gaussian noise, conditioned on x_src.
+    """Full reverse pass conditioned on x_src, for either variant; the name is
+    kept for the benchmark's tracer until ROADMAP item 2 renames it. Starts
+    from x_T == x_src when beta_T > 0 (the bridge), else from Gaussian noise.
     Returns (sample, number of denoising steps run)."""
     grid = _time_grid(sch.T, steps)
     x_src = np.asarray(x_src, dtype=np.float64)
     bound = condition(predictor, x_src, tgt, src)
-    x = rng.standard_normal(x_src.shape)
+    x = x_src.copy() if sch.beta[sch.T] > 0.0 else rng.standard_normal(x_src.shape)
     for i in range(len(grid) - 1, 0, -1):
-        x = reverse_step_diffusion(bound, x, int(grid[i]), sch, rng, t_prev=int(grid[i - 1]))
+        x = reverse_step_diffusion(bound, x, int(grid[i]), sch, rng,
+                                   t_prev=int(grid[i - 1]), y=x_src)
     return x, len(grid) - 1
 
 
-def sample_chain_bridge(predictor, y, tgt: int, src: int, sch: BridgeSchedule,
-                        rng: np.random.Generator, steps: int = 0) -> tuple[np.ndarray, int]:
-    """Full bridge reverse pass starting from the endpoint x_T == y."""
-    grid = _time_grid(sch.T, steps)
-    y = np.asarray(y, dtype=np.float64)
-    bound = condition(predictor, y, tgt, src)
-    x = y.copy()
-    for i in range(len(grid) - 1, 0, -1):
-        x = reverse_step_bridge(bound, x, int(grid[i]), y, sch, rng, t_prev=int(grid[i - 1]))
-    return x, len(grid) - 1
-
-
-def translate(predictor, req: TranslationRequest, topo: Topology,
-              sch: DiffusionSchedule | BridgeSchedule,
+def translate(predictor, req: TranslationRequest, topo: Topology, sch: Schedule,
               hops: dict | None = None) -> TranslationResult:
-    """Run the requested translation by the sampler of `sch`; see module
+    """Run the requested translation under the schedule `sch`; see module
     docstring. `hops` maps (src, hop_src, hop_tgt) to the hop's chain output;
     it is read and filled here, and is only shared between requests with the
     same x_src, seed and steps and the same predictor and schedule."""
-    chain = sample_chain_bridge if isinstance(sch, BridgeSchedule) else sample_chain_diffusion
     check_labels(topo.K, req.src, req.tgt)
     if req.mode == "direct":
         if not topo.is_edge(req.src, req.tgt):
@@ -190,7 +166,8 @@ def translate(predictor, req: TranslationRequest, topo: Topology,
         key = (req.src, hop_src, hop_tgt)
         if key not in hops:
             rng = np.random.default_rng(np.random.SeedSequence([req.seed, req.src, hop_tgt]))
-            hops[key] = chain(predictor, x, hop_tgt, hop_src, sch, rng, steps=req.steps)
+            hops[key] = sample_chain_diffusion(predictor, x, hop_tgt, hop_src, sch, rng,
+                                               steps=req.steps)
         x, n_steps = hops[key]
         total += n_steps
         if hop_tgt != req.tgt:

@@ -1,12 +1,14 @@
-"""Noise schedules for the diffusion and bridge corruption processes.
+"""Noise schedules: one table type for the diffusion and bridge corruptions.
 
-Index convention: tables have T+1 entries, t=0 is clean data and t=T is the
-prior (diffusion) or the opposite endpoint (bridge).
+A schedule holds the tables of x_t = alpha[t] x_tgt + beta[t] x_src +
+sigma[t] eps. Index convention: tables have T+1 entries, t=0 is clean data
+and t=T is the prior (diffusion) or the opposite endpoint (bridge).
 
-Diffusion tables are variance preserving: a[t]^2 + sigma[t]^2 = 1, with
-1 ~ a[0] > ... > a[T] ~ 0. The bridge tables are Brownian-bridge
-coefficients alpha[t] = 1 - t/T, beta[t] = t/T,
-sigma[t]^2 = s^2 (t/T)(1 - t/T).
+Diffusion has beta = 0 and variance-preserving tables: alpha[t]^2 +
+sigma[t]^2 = 1, with 1 ~ alpha[0] > ... > alpha[T] ~ 0. The bridge tables are
+Brownian-bridge coefficients alpha[t] = 1 - t/T, beta[t] = t/T,
+sigma[t]^2 = s^2 (t/T)(1 - t/T). The sampler, the corruption and the oracle
+read the tables, so the diffusion step is the bridge step with beta = 0.
 """
 
 from dataclasses import dataclass
@@ -27,26 +29,15 @@ _COSINE_A_FINAL = 5e-3
 
 
 @dataclass(frozen=True)
-class DiffusionSchedule:
-    """Signal/noise coefficient tables for the standard diffusion process."""
-
-    T: int
-    a: np.ndarray
-    sigma: np.ndarray
-    eta: float = 0.0
-
-    def __post_init__(self):
-        _check_eta(self.eta)
-
-
-@dataclass(frozen=True)
-class BridgeSchedule:
-    """Coefficient tables for the Brownian-bridge corruption process."""
+class Schedule:
+    """Coefficient tables of one corruption process and its reverse-step eta:
+    0 is deterministic, 1 ancestral, and eta scales the reverse-step std."""
 
     T: int
     alpha: np.ndarray
     beta: np.ndarray
     sigma: np.ndarray
+    variant: str
     eta: float = 0.0
 
     def __post_init__(self):
@@ -59,8 +50,9 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
 
-def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) -> DiffusionSchedule:
-    """Build the (a, sigma) tables for the requested profile.
+def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) -> Schedule:
+    """Build the diffusion tables for the requested profile: alpha = a,
+    beta = 0 and sigma = sqrt(1 - a^2).
 
     "linear": per-step retention exp(-beta_t) with beta_t linearly spaced over
     [1e-4, 2e-2] rescaled from the 1000-step reference grid; a[t] is the square
@@ -82,12 +74,13 @@ def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) 
     else:
         raise ValueError(f"unsupported schedule profile {profile!r}")
     sigma = np.sqrt(1.0 - a * a)
-    a.setflags(write=False)
-    sigma.setflags(write=False)
-    return DiffusionSchedule(T=T, a=a, sigma=sigma, eta=eta)
+    beta = np.zeros(T + 1)
+    for arr in (a, beta, sigma):
+        arr.setflags(write=False)
+    return Schedule(T=T, alpha=a, beta=beta, sigma=sigma, variant="diffusion", eta=eta)
 
 
-def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> BridgeSchedule:
+def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Schedule:
     """Brownian-bridge coefficients with noise scale `scale`."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -99,10 +92,10 @@ def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Bridg
     sigma = scale * np.sqrt(tau * (1.0 - tau))
     for arr in (alpha, beta, sigma):
         arr.setflags(write=False)
-    return BridgeSchedule(T=T, alpha=alpha, beta=beta, sigma=sigma, eta=eta)
+    return Schedule(T=T, alpha=alpha, beta=beta, sigma=sigma, variant="bridge", eta=eta)
 
 
-def prev_step(sch: DiffusionSchedule | BridgeSchedule, t: int, t_prev: int | None) -> int:
+def prev_step(sch: Schedule, t: int, t_prev: int | None) -> int:
     """The step a reverse step from t lands on: t_prev, or t - 1 when None.
     Every reverse step checks its steps here first: 1 <= t <= T and
     0 <= t_prev < t, else ValueError."""
@@ -115,33 +108,23 @@ def prev_step(sch: DiffusionSchedule | BridgeSchedule, t: int, t_prev: int | Non
     return t_prev
 
 
-def reverse_variance(sch: DiffusionSchedule, t: int, t_prev: int | None = None) -> float:
-    """Std of the DDIM reverse step from t to t_prev (default t-1).
+def reverse_variance(sch: Schedule, t: int, t_prev: int | None = None) -> float:
+    """Std of the reverse step from t to t_prev (default t-1), for either
+    variant; the name is kept for the benchmark's tracer until ROADMAP item 2
+    renames it.
 
-    omega^2 = eta^2 sigma_prev^2 (1 - (sigma_prev^2/sigma_t^2)(a_t^2/a_prev^2));
-    zero when eta = 0 and at the final step to t_prev = 0.
+    omega = eta sigma_prev sqrt(1 - (sigma_prev^2/sigma_t^2)(alpha_t^2/alpha_prev^2)),
+    DDIM's eta (Song et al., arXiv:2010.02502); zero when eta = 0 and at the
+    final step to t_prev = 0. At eta = 1 it is the exact Brownian-bridge
+    posterior std. At the bridge's endpoint t = T (alpha_T = sigma_T = 0) it
+    is the formula's limit, eta sigma_prev.
     """
     t_prev = prev_step(sch, t, t_prev)
     if sch.eta == 0.0 or t_prev == 0:
         return 0.0
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
-    a_p, a_t = sch.a[t_prev], sch.a[t]
+    a_p, a_t = sch.alpha[t_prev], sch.alpha[t]
+    if a_t == 0.0:
+        return float(sch.eta * s_p)
     inner = 1.0 - (s_p * s_p) / (s_t * s_t) * (a_t * a_t) / (a_p * a_p)
     return float(sch.eta * s_p * np.sqrt(max(inner, 0.0)))
-
-
-def bridge_reverse_std(sch: BridgeSchedule, t: int, t_prev: int | None = None) -> float:
-    """Std of the bridge reverse step from t to t_prev (default t-1).
-
-    delta^2 = eta (sigma_t^2 - sigma_prev^2 alpha_t^2 / alpha_prev^2) is the
-    forward transition variance scaled by eta; the reverse-step std is
-    delta * sigma_prev / sigma_t, matching the exact Brownian-bridge posterior
-    at eta = 1.
-    """
-    t_prev = prev_step(sch, t, t_prev)
-    if sch.eta == 0.0 or sch.sigma[t] == 0.0 or sch.sigma[t_prev] == 0.0:
-        return 0.0
-    s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
-    ratio = sch.alpha[t] / sch.alpha[t_prev]
-    delta_sq = sch.eta * (s_t * s_t - s_p * s_p * ratio * ratio)
-    return float(np.sqrt(max(delta_sq, 0.0)) * s_p / s_t)

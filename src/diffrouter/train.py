@@ -10,8 +10,10 @@ Three regimes:
   from-scratch: same combined loss, but the reference predictor is the
       current parameters themselves; each step queries it before its update.
 
-The schedule's type picks the corruption: a `DiffusionSchedule` noises the target,
-a `BridgeSchedule` bridges the pair's two sides and supports paired training only.
+Both variants share one corruption, x_t = alpha_t x_tgt + beta_t x_src +
+sigma_t eps, read from the schedule's tables: diffusion (beta = 0) noises the
+target, and the bridge (beta != 0) bridges the pair's two sides and supports
+paired training only.
 
 Training runs in float32 on one parameter vector: the trained
 `RouterParams.flat`, its gradient and the AdamW moments are all float32, and
@@ -43,7 +45,7 @@ from .datagen import PairedDataset, Topology
 from .netcore import DivergenceError, OptimizerState, optimizer_step
 from .router import RouterParams, condition, freeze
 from .sample import route_path
-from .schedules import BridgeSchedule, DiffusionSchedule
+from .schedules import Schedule
 
 REGIMES = ("paired-only", "finetune", "from-scratch")
 
@@ -78,10 +80,11 @@ class TrainConfig:
 
 
 def _corrupt(x_tgt, x_src, t, eps, sch):
-    if isinstance(sch, BridgeSchedule):
-        return (sch.alpha[t][:, None] * x_tgt + sch.beta[t][:, None] * x_src
-                + sch.sigma[t][:, None] * eps)
-    return sch.a[t][:, None] * x_tgt + sch.sigma[t][:, None] * eps
+    x_t = sch.alpha[t][:, None] * x_tgt
+    if sch.beta.any():  # diffusion (beta = 0) adds no source term
+        x_t += sch.beta[t][:, None] * x_src
+    x_t += sch.sigma[t][:, None] * eps
+    return x_t
 
 
 def paired_loss_step(params: RouterParams, ds: PairedDataset, batch_idx: np.ndarray,
@@ -141,7 +144,7 @@ def _regress(params: RouterParams, blocks: list[tuple]) -> tuple:
     return *losses, router_mod.backward(params, cache, resid)
 
 
-def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
+def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: Schedule,
                    rng: np.random.Generator, *, n: int) -> np.ndarray:
     """n refinement iterations x <- x + sigma_t (eps - predictor(x, t)), with a
     fresh eps draw per iteration, by a predictor bound to the conditioning
@@ -161,7 +164,7 @@ def tweedie_refine(predictor, x_t_init: np.ndarray, t, sch: DiffusionSchedule,
 
 def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: np.ndarray,
                        i: int, c: int, j: int, x_j_pool: np.ndarray,
-                       sch: DiffusionSchedule, cfg: TrainConfig, rng: np.random.Generator,
+                       sch: Schedule, cfg: TrainConfig, rng: np.random.Generator,
                        topo: Topology, rehearsal: PairedDataset | None = None) -> tuple:
     """Distillation step for the direct mapping i -> j.
 
@@ -171,9 +174,9 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     The reference receives no gradient. Returns (loss, grads) of this term, or
     with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`.
     """
-    if isinstance(sch, BridgeSchedule):
+    if sch.beta.any():
         raise ValueError(
-            "unpaired finetuning is refused for the bridge variant: the paths "
+            f"unpaired finetuning is refused for the {sch.variant} variant: the paths "
             "conditioned on x_src and x_c start from different endpoints, so "
             "the reference path distribution is not a usable proxy")
     if topo.is_edge(i, j):
@@ -201,7 +204,7 @@ def _rehearsal_rows(ds: PairedDataset, cfg: TrainConfig, sch, rng, topo) -> tupl
 
 
 def final_loss_step(params: RouterParams, ref, paired_ds: PairedDataset,
-                    unpaired: tuple, cfg: TrainConfig, sch: DiffusionSchedule,
+                    unpaired: tuple, cfg: TrainConfig, sch: Schedule,
                     rng: np.random.Generator, topo: Topology
                     ) -> tuple[float, float, float, np.ndarray]:
     """Combined objective lambda1 * L_unpaired + lambda2 * L_paired for one

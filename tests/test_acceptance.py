@@ -99,11 +99,11 @@ def test_acceptance_2_schedule_invariants(capsys):
     for T in (10, 100, 1000):
         for profile in ("linear", "cosine"):
             sch = build_diffusion_schedule(T, profile=profile)
-            ok &= abs(sch.a[0] - 1.0) < 1e-12 and abs(sch.sigma[0]) < 1e-12
-            ok &= bool(np.all(np.diff(sch.a) < 0))
+            ok &= abs(sch.alpha[0] - 1.0) < 1e-12 and abs(sch.sigma[0]) < 1e-12
+            ok &= bool(np.all(np.diff(sch.alpha) < 0))
             ok &= bool(np.all(np.diff(sch.sigma) > 0))
-            ok &= bool(np.allclose(sch.a ** 2 + sch.sigma ** 2, 1.0, atol=1e-12))
-            ok &= sch.a[T] < 0.05
+            ok &= bool(np.allclose(sch.alpha ** 2 + sch.sigma ** 2, 1.0, atol=1e-12))
+            ok &= sch.alpha[T] < 0.05
         br = build_bridge_schedule(T)
         ok &= bool(np.allclose(br.alpha + br.beta, 1.0, atol=1e-12))
         ok &= abs(br.alpha[0] - 1.0) < 1e-12 and abs(br.alpha[T]) < 1e-12
@@ -282,10 +282,10 @@ def test_acceptance_10_refinement_distribution_convergence(capsys):
     details = []
     for t in (25, 50, 75):
         mean, cov = datagen.noisy_conditional(inst, 0, 1, x_c,
-                                              sch.a[t], sch.sigma[t])
+                                              sch.alpha[t], sch.sigma[t])
         chol = np.linalg.cholesky(cov)
         ref = mean + np.random.default_rng(7).standard_normal((M, d)) @ chol.T
-        base = sch.a[t] * x0 + sch.sigma[t] * np.random.default_rng(8).standard_normal((M, d))
+        base = sch.alpha[t] * x0 + sch.sigma[t] * np.random.default_rng(8).standard_normal((M, d))
         vals = []
         for n in (0, 1, 3, 5, 7):
             # one shared stream per n so successive snapshots are coupled

@@ -155,8 +155,9 @@ def test_two_writers_never_tear_a_file(tmp_path):
 
 def _file_writes(tree) -> list[int]:
     """Lines of the calls in `tree` that write a file, outside the body of
-    `write_atomic`: write_text, write_bytes, and open (builtin, or a
-    path's .open) with a mode that is not a read-only constant."""
+    `write_atomic`: write_text, write_bytes, open (builtin, or a path's .open)
+    with a mode that is not a read-only constant, and os.open with flags,
+    by position or keyword, other than exactly os.O_RDONLY."""
     exempt = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name == "write_atomic"
               for node in ast.walk(fn)}
@@ -167,6 +168,10 @@ def _file_writes(tree) -> list[int]:
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in ("write_text", "write_bytes"):
             lines.append(node.lineno)
+        elif name == "open" and ast.unparse(node.func) == "os.open":
+            flags = [kw.value for kw in node.keywords if kw.arg == "flags"] or node.args[1:2]
+            if not (flags and ast.unparse(flags[0]) == "os.O_RDONLY"):
+                lines.append(node.lineno)
         elif name == "open":
             at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
             mode = ([kw.value for kw in node.keywords if kw.arg == "mode"]
@@ -181,8 +186,10 @@ def test_only_write_atomic_writes_files():
     modules = sorted(Path(_blockfile.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     probe = ("open(p, 'wb'); p.open('a'); open(p, mode=m)\n"
-             "p.write_text(s); open(p); p.open(); open(p, 'rb')")
-    assert _file_writes(ast.parse(probe)) == [1, 1, 1, 2]  # the scan finds each kind
+             "p.write_text(s); open(p); p.open(); open(p, 'rb')\n"
+             "os.open(p, os.O_RDONLY); os.open(path=p, flags=os.O_RDONLY)\n"
+             "os.open(p, os.O_WRONLY); os.open(path=p, flags=os.O_WRONLY | os.O_CREAT)")
+    assert _file_writes(ast.parse(probe)) == [1, 1, 1, 2, 4, 4]  # the scan finds each kind
     writes = [f"{path.name}:{line}" for path in modules
               for line in _file_writes(ast.parse(path.read_text(encoding="utf-8")))]
     assert not writes, writes

@@ -13,8 +13,7 @@ from diffrouter.metrics import (evaluate_checkpoint, mmd_rbf,
                                 nested_vs_direct_kl, oracle_self_distance,
                                 pathwise_kl_bound_trial, sliced_wasserstein)
 from diffrouter.router import KIND_DIRECT, KIND_PAIRED, init_router
-from diffrouter.schedules import (BridgeSchedule, build_bridge_schedule,
-                                  build_diffusion_schedule)
+from diffrouter.schedules import build_bridge_schedule, build_diffusion_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,7 @@ def test_evaluate_runs_each_hop_once(sch, monkeypatch):
     target would differ."""
     topo, _, tuples, inst = datagen.make_chain_instance(4, 2, 50, seed=3, M=200)
     predictor = lambda x_t, t, x_src, tgt, src: 0.3 * x_t - 0.2 * x_src + 0.1 * (tgt - src)
-    name = "sample_chain_bridge" if isinstance(sch, BridgeSchedule) else "sample_chain_diffusion"
+    name = "sample_chain_diffusion"
     chains, done = [], []
     chain, translate = getattr(sample, name), metrics.translate
 

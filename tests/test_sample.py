@@ -7,10 +7,8 @@ import pytest
 from diffrouter import datagen, metrics, router
 from diffrouter.datagen import OracleScorePredictor, Topology
 from diffrouter.router import KIND_DIRECT, condition, init_router
-from diffrouter.sample import (TranslationRequest, reverse_step_bridge,
-                               reverse_step_diffusion, route_path,
-                               sample_chain_bridge, sample_chain_diffusion,
-                               translate)
+from diffrouter.sample import (TranslationRequest, reverse_step_diffusion, route_path,
+                               sample_chain_diffusion, translate)
 from diffrouter.schedules import build_bridge_schedule, build_diffusion_schedule
 from diffrouter.train import TrainConfig, train
 
@@ -74,7 +72,7 @@ def test_reverse_step_zero_predictor_rescales(sch100, rng):
     """eta = 0, zero noise estimate: pure (a_prev / a_t) rescaling."""
     x = rng.standard_normal(3)
     out = reverse_step_diffusion(condition(_zero_predictor, x, 1, 0), x, 50, sch100, rng)
-    assert np.allclose(out, (sch100.a[49] / sch100.a[50]) * x)
+    assert np.allclose(out, (sch100.alpha[49] / sch100.alpha[50]) * x)
 
 
 def test_reverse_step_deterministic_at_eta_zero(sch100, rng):
@@ -99,8 +97,8 @@ def test_bridge_step_checks_t_prev_first(rng):
     y = rng.standard_normal(2)
     for t, t_prev in ((20, -1), (10, 25)):
         with pytest.raises(ValueError, match=rf"t_prev={t_prev} must lie in \[0, {t}\)"):
-            reverse_step_bridge(condition(_zero_predictor, y, 1, 0), y, t, y, sch, rng,
-                                t_prev=t_prev)
+            reverse_step_diffusion(condition(_zero_predictor, y, 1, 0), y, t, sch, rng,
+                                   t_prev=t_prev, y=y)
 
 
 def test_oracle_chain_matches_analytic_marginal(small_star, sch100):
@@ -117,10 +115,26 @@ def test_oracle_chain_matches_analytic_marginal(small_star, sch100):
     assert sw < 0.05
 
 
+def test_bridge_oracle_chain_matches_analytic_conditional(small_star):
+    """The exact bridge score, sampled at eta = 1 from the source endpoint,
+    reproduces the analytic conditional within sliced-W2 < 0.05 on 5000
+    samples."""
+    _, _, tuples, inst = small_star
+    sch = build_bridge_schedule(100, eta=1.0)
+    oracle = OracleScorePredictor(inst, sch)
+    rng = np.random.default_rng(2)
+    x_src = np.tile(tuples.domain(1)[0], (5000, 1))
+    out, n_steps = sample_chain_diffusion(oracle, x_src, 0, 1, sch, rng)
+    assert n_steps == sch.T
+    ref = datagen.sample_conditional(inst, 1, 0, x_src, rng)
+    sw = metrics.sliced_wasserstein(out, ref, rng=np.random.default_rng(0))
+    assert sw < 0.05
+
+
 def test_bridge_start_state_is_endpoint(rng):
     sch = build_bridge_schedule(20, eta=0.0)
     y = rng.standard_normal(2)
-    out = reverse_step_bridge(condition(_zero_predictor, y, 1, 0), y, 20, y, sch, rng)
+    out = reverse_step_diffusion(condition(_zero_predictor, y, 1, 0), y, 20, sch, rng, y=y)
     expect = (sch.alpha[19] + sch.beta[19]) * y
     assert np.allclose(out, expect)
 
@@ -128,10 +142,10 @@ def test_bridge_start_state_is_endpoint(rng):
 def test_bridge_deterministic_flow_at_eta_zero(rng):
     sch = build_bridge_schedule(20, eta=0.0)
     y = rng.standard_normal(2)
-    a, na = sample_chain_bridge(_zero_predictor, y, 1, 0, sch,
-                                np.random.default_rng(1))
-    b, nb = sample_chain_bridge(_zero_predictor, y, 1, 0, sch,
-                                np.random.default_rng(2))
+    a, na = sample_chain_diffusion(_zero_predictor, y, 1, 0, sch,
+                                   np.random.default_rng(1))
+    b, nb = sample_chain_diffusion(_zero_predictor, y, 1, 0, sch,
+                                   np.random.default_rng(2))
     assert np.array_equal(a, b) and na == nb == 20
 
 
@@ -147,7 +161,7 @@ def test_bridge_output_in_target_support():
     result = train(cfg, topo, datasets, sch)
     rng = np.random.default_rng(0)
     y = tuples.domain(1)[:100]
-    out, _ = sample_chain_bridge(result.params, y, 0, 1, sch, rng)
+    out, _ = sample_chain_diffusion(result.params, y, 0, 1, sch, rng)
     target_train = datasets[0].side(0)
 
     def nn_dist(X):

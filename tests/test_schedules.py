@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diffrouter.schedules import (BridgeSchedule, DiffusionSchedule,
-                                  bridge_reverse_std, build_bridge_schedule,
-                                  build_diffusion_schedule, reverse_variance)
+from diffrouter.schedules import (build_bridge_schedule, build_diffusion_schedule,
+                                  reverse_variance)
 
 TS = (10, 100, 1000)
 
@@ -14,12 +13,12 @@ TS = (10, 100, 1000)
 @pytest.mark.parametrize("profile", ["linear", "cosine"])
 def test_diffusion_invariants(T, profile):
     sch = build_diffusion_schedule(T, profile=profile)
-    assert len(sch.a) == T + 1 and len(sch.sigma) == T + 1
-    assert sch.a[0] >= 1 - 1e-4 and sch.a[T] <= 1e-2
+    assert len(sch.alpha) == T + 1 and len(sch.sigma) == T + 1
+    assert sch.alpha[0] >= 1 - 1e-4 and sch.alpha[T] <= 1e-2
     assert sch.sigma[0] <= 1e-2 and sch.sigma[T] >= 1 - 1e-4
-    assert np.all(np.diff(sch.a) < 0)
+    assert np.all(np.diff(sch.alpha) < 0)
     assert np.all(np.diff(sch.sigma) > 0)
-    assert np.max(np.abs(sch.a ** 2 + sch.sigma ** 2 - 1.0)) < 1e-9
+    assert np.max(np.abs(sch.alpha ** 2 + sch.sigma ** 2 - 1.0)) < 1e-9
 
 
 def test_linear_midpoint_matches_scalar_cumulative_product():
@@ -30,7 +29,7 @@ def test_linear_midpoint_matches_scalar_cumulative_product():
     acc = 1.0
     for i in range(50):
         acc *= np.exp(-betas[i])
-    assert abs(sch.a[50] - np.sqrt(acc)) < 1e-12
+    assert abs(sch.alpha[50] - np.sqrt(acc)) < 1e-12
 
 
 def test_reverse_variance_eta_zero_and_scaling():
@@ -42,12 +41,26 @@ def test_reverse_variance_eta_zero_and_scaling():
         assert abs(reverse_variance(schh, t) - 0.5 * reverse_variance(sch1, t)) < 1e-14
 
 
+@pytest.mark.parametrize("build", [build_diffusion_schedule, build_bridge_schedule],
+                         ids=["diffusion", "bridge"])
+def test_eta_scales_the_reverse_std_in_both_variants(build):
+    """One eta convention (DDIM's): the reverse-step std is linear in eta, so
+    eta = 0.5 gives exactly half the eta = 1 std, on unit and strided steps
+    and from t = T, the bridge's endpoint."""
+    half, full = build(50, eta=0.5), build(50, eta=1.0)
+    for t, t_prev in ((2, 1), (10, 9), (25, 24), (40, 33), (49, 48), (30, 1), (50, 49),
+                      (50, 40)):
+        assert reverse_variance(full, t, t_prev) > 0.0
+        assert abs(reverse_variance(half, t, t_prev)
+                   - 0.5 * reverse_variance(full, t, t_prev)) < 1e-12
+
+
 def test_reverse_variance_hand_formula_at_T():
     sch = build_diffusion_schedule(100, eta=1.0)
     T = sch.T
     expect = sch.sigma[T - 1] * np.sqrt(
         1.0 - (sch.sigma[T - 1] ** 2 / sch.sigma[T] ** 2)
-        * (sch.a[T] ** 2 / sch.a[T - 1] ** 2))
+        * (sch.alpha[T] ** 2 / sch.alpha[T - 1] ** 2))
     assert abs(reverse_variance(sch, T) - expect) < 1e-14
 
 
@@ -85,21 +98,21 @@ def test_bridge_reverse_std_matches_posterior_oracle():
         tp = t - 1
         tau_t, tau_p = t / T, tp / T
         expect = np.sqrt(s * s * tau_p * (tau_t - tau_p) / tau_t)
-        assert abs(bridge_reverse_std(sch, t, tp) - expect) < 1e-12
+        assert abs(reverse_variance(sch, t, tp) - expect) < 1e-12
 
 
 def test_bridge_reverse_std_eta_zero():
     sch = build_bridge_schedule(50, eta=0.0)
     for t in (2, 25, 49):
-        assert bridge_reverse_std(sch, t, t - 1) == 0.0
+        assert reverse_variance(sch, t, t - 1) == 0.0
 
 
 def test_schedules_are_pure_values():
     a = build_diffusion_schedule(100, profile="cosine", eta=0.3)
     b = build_diffusion_schedule(100, profile="cosine", eta=0.3)
-    assert np.array_equal(a.a, b.a) and np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.sigma, b.sigma)
     with pytest.raises((ValueError, RuntimeError)):
-        a.a[0] = 0.5  # tables are read-only
+        a.alpha[0] = 0.5  # tables are read-only
 
 
 def test_build_errors():

@@ -521,11 +521,11 @@ def test_refinement_converges_at_per_row_steps():
     gen = np.random.default_rng(42)
     x0 = (gen.standard_normal((3 * M, d)) @ A1.T + inst.offsets[1]
           + 1.0 * gen.standard_normal((3 * M, d)))
-    base = (sch.a[t][:, None] * x0
+    base = (sch.alpha[t][:, None] * x0
             + sch.sigma[t][:, None] * np.random.default_rng(8).standard_normal((3 * M, d)))
     refs = {}
     for level in levels:
-        mean, cov = datagen.noisy_conditional(inst, 0, 1, x_c, sch.a[level], sch.sigma[level])
+        mean, cov = datagen.noisy_conditional(inst, 0, 1, x_c, sch.alpha[level], sch.sigma[level])
         noise = np.random.default_rng(7).standard_normal((M, d))
         refs[level] = mean + noise @ np.linalg.cholesky(cov).T
     vals = {level: [] for level in levels}
