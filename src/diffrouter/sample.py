@@ -30,8 +30,8 @@ group of routes it runs its own.
 
 Both variants run one chain and one reverse step, which read the schedule's
 alpha, beta and sigma tables, and its eta scales the reverse-step std. A chain
-starts from the source when beta_T > 0 (the bridge, x_T == x_src) and from
-Gaussian noise otherwise (diffusion, beta = 0).
+starts from the source on the bridge (beta != 0, x_T == x_src) and from
+Gaussian noise on diffusion (beta = 0).
 """
 
 from dataclasses import dataclass, field
@@ -91,9 +91,9 @@ def reverse_step_diffusion(predictor, x_t, t: int, sch: Schedule,
                            t_prev: int | None = None, y=None) -> np.ndarray:
     """One reverse step by a bound predictor(x_t, t) (see `router.condition`),
     for either variant; the name is kept for the benchmark's tracer until
-    ROADMAP item 2 renames it. y is the chain's source x_src, read only where
-    the schedule's beta is not 0. x_prev = mu + omega * xi, with omega from
-    `reverse_variance` and
+    ROADMAP item 2 renames it. y is the chain's source x_src; the bridge
+    reads it, and without it the step raises ValueError.
+    x_prev = mu + omega * xi, with omega from `reverse_variance` and
 
     mu = (a_p/a_t) x_t + (b_p - b_t a_p/a_t) y
          + (sqrt(sigma_p^2 - omega^2) - sigma_t a_p / a_t) eps_hat.
@@ -106,6 +106,8 @@ def reverse_step_diffusion(predictor, x_t, t: int, sch: Schedule,
     t_prev = prev_step(sch, t, t_prev)
     a_p, a_t = sch.alpha[t_prev], sch.alpha[t]
     b_p, b_t = sch.beta[t_prev], sch.beta[t]
+    if y is None and sch.variant == "bridge":
+        raise ValueError("the bridge's reverse step needs the source: pass y=x_src")
     s_p, s_t = sch.sigma[t_prev], sch.sigma[t]
     omega = reverse_variance(sch, t, t_prev)
     if a_t == 0.0:
@@ -128,12 +130,12 @@ def sample_chain_diffusion(predictor, x_src, tgt: int, src: int, sch: Schedule,
                            steps: int = 0) -> tuple[np.ndarray, int]:
     """Full reverse pass conditioned on x_src, for either variant; the name is
     kept for the benchmark's tracer until ROADMAP item 2 renames it. Starts
-    from x_T == x_src when beta_T > 0 (the bridge), else from Gaussian noise.
+    from x_T == x_src on the bridge, else from Gaussian noise.
     Returns (sample, number of denoising steps run)."""
     grid = _time_grid(sch.T, steps)
     x_src = np.asarray(x_src, dtype=np.float64)
     bound = condition(predictor, x_src, tgt, src)
-    x = x_src.copy() if sch.beta[sch.T] > 0.0 else rng.standard_normal(x_src.shape)
+    x = x_src.copy() if sch.variant == "bridge" else rng.standard_normal(x_src.shape)
     for i in range(len(grid) - 1, 0, -1):
         x = reverse_step_diffusion(bound, x, int(grid[i]), sch, rng,
                                    t_prev=int(grid[i - 1]), y=x_src)

@@ -37,11 +37,16 @@ class Schedule:
     alpha: np.ndarray
     beta: np.ndarray
     sigma: np.ndarray
-    variant: str
     eta: float = 0.0
 
     def __post_init__(self):
         _check_eta(self.eta)
+
+    @property
+    def variant(self) -> str:
+        """"bridge" when the tables carry a source term (beta != 0), else
+        "diffusion". Every bridge-only branch reads this one test."""
+        return "bridge" if self.beta.any() else "diffusion"
 
 
 def _check_eta(eta: float) -> None:
@@ -77,7 +82,7 @@ def build_diffusion_schedule(T: int, profile: str = "linear", eta: float = 0.0) 
     beta = np.zeros(T + 1)
     for arr in (a, beta, sigma):
         arr.setflags(write=False)
-    return Schedule(T=T, alpha=a, beta=beta, sigma=sigma, variant="diffusion", eta=eta)
+    return Schedule(T=T, alpha=a, beta=beta, sigma=sigma, eta=eta)
 
 
 def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Schedule:
@@ -92,7 +97,7 @@ def build_bridge_schedule(T: int, scale: float = 1.0, eta: float = 0.0) -> Sched
     sigma = scale * np.sqrt(tau * (1.0 - tau))
     for arr in (alpha, beta, sigma):
         arr.setflags(write=False)
-    return Schedule(T=T, alpha=alpha, beta=beta, sigma=sigma, variant="bridge", eta=eta)
+    return Schedule(T=T, alpha=alpha, beta=beta, sigma=sigma, eta=eta)
 
 
 def prev_step(sch: Schedule, t: int, t_prev: int | None) -> int:

@@ -81,7 +81,7 @@ class TrainConfig:
 
 def _corrupt(x_tgt, x_src, t, eps, sch):
     x_t = sch.alpha[t][:, None] * x_tgt
-    if sch.beta.any():  # diffusion (beta = 0) adds no source term
+    if sch.variant == "bridge":  # diffusion (beta = 0) adds no source term
         x_t += sch.beta[t][:, None] * x_src
     x_t += sch.sigma[t][:, None] * eps
     return x_t
@@ -174,9 +174,9 @@ def unpaired_loss_step(params: RouterParams, ref, batch_i: np.ndarray, batch_c: 
     The reference receives no gradient. Returns (loss, grads) of this term, or
     with a `rehearsal` dataset (loss, paired_loss, grads) of `final_loss_step`.
     """
-    if sch.beta.any():
+    if sch.variant == "bridge":
         raise ValueError(
-            f"unpaired finetuning is refused for the {sch.variant} variant: the paths "
+            "unpaired finetuning is refused for the bridge variant: the paths "
             "conditioned on x_src and x_c start from different endpoints, so "
             "the reference path distribution is not a usable proxy")
     if topo.is_edge(i, j):

@@ -137,6 +137,8 @@ def test_bridge_start_state_is_endpoint(rng):
     out = reverse_step_diffusion(condition(_zero_predictor, y, 1, 0), y, 20, sch, rng, y=y)
     expect = (sch.alpha[19] + sch.beta[19]) * y
     assert np.allclose(out, expect)
+    with pytest.raises(ValueError, match="y=x_src"):
+        reverse_step_diffusion(condition(_zero_predictor, y, 1, 0), y, 20, sch, rng)
 
 
 def test_bridge_deterministic_flow_at_eta_zero(rng):
